@@ -1,23 +1,22 @@
-"""Stochastic gated-detection simulator of the multimode twin-beam source.
+"""Counts-level simulator of gated click detection on the multimode twin-beam source.
 
-Per gate, every retained Schmidt mode k contributes a photon-pair number
-drawn from the thermal (geometric) distribution with mean sinh^2(B lam_k);
-the two arms share the pair number exactly.  Each arm is thinned binomially
-by its end-to-end transmission and hits a threshold (click/no-click)
-detector, with an independent per-gate dark firing probability.  Because the
-detectors resolve no photon numbers, only the per-gate pair total matters,
-which allows an exact negative-binomial shortcut when all mode means are
-equal.
+Per gate, every Schmidt mode k contributes a photon-pair number drawn from
+the thermal (geometric) distribution with mean sinh^2(B lam_k); the two arms
+share the pair number exactly.  Each arm is thinned binomially by its
+end-to-end transmission and hits a threshold (click/no-click) detector, with
+an independent per-gate dark firing probability.
 
-Gates are simulated in independent batches, each owning a counter-based RNG
-stream keyed by (seed, batch index), so runs are bit-exact regardless of how
-many worker threads execute them.  Set TWINPDC_THREADS to parallelize.
+Because the detectors resolve no photon numbers and a record keeps only click
+counts, two exact draws replace the gate-by-gate history: a multinomial of the
+gates over the distribution of the per-gate pair total (the convolution of
+the per-mode geometric distributions), then, for each total, a multinomial
+over the four click outcomes.  The cost does not depend on the number of
+gates, and one counter-based RNG stream keyed by the seed makes every run
+bit-reproducible.
 """
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,9 +24,8 @@ from .errors import ConfigError
 from .schmidt import SchmidtData
 from .twinstats import (CountRecord, DetectionSpec, klyshko, mean_n_from_cross)
 
-DEFAULT_BATCH_GATES = 1_000_000
-SPECTRUM_TRUNCATION_WEIGHT = 1e-4
 SATURATION_MEAN = 0.9
+PMF_TAIL_WEIGHT = 1e-17
 
 
 def equal_mode_spectrum(n_modes: int) -> np.ndarray:
@@ -52,15 +50,12 @@ class SimConfig:
     seed: int
     laser_rep_hz: float = 76.2e6
     gate_divisor: int = 64
-    batch_gates: int = DEFAULT_BATCH_GATES
 
     def __post_init__(self):
         if self.n_gates <= 0:
             raise ConfigError("n_gates must be positive")
         if self.gate_divisor < 1:
             raise ConfigError("gate divisor must be >= 1")
-        if self.batch_gates < 1:
-            raise ConfigError("batch_gates must be >= 1")
         if abs(self.det.gate_rate - self.gate_rate) > 1e-6 * self.gate_rate:
             raise ConfigError(
                 f"det.gate_rate {self.det.gate_rate:g} Hz inconsistent with "
@@ -79,45 +74,34 @@ class SimConfig:
 
 
 def mode_means(cfg: SimConfig) -> np.ndarray:
-    """Per-mode thermal pair means, truncated to cover all but 1e-4 of the weight."""
-    lam = np.sort(cfg.coefficients)[::-1]
-    weights = lam**2
-    weights = weights / weights.sum()
-    keep = int(np.searchsorted(np.cumsum(weights), 1.0 - SPECTRUM_TRUNCATION_WEIGHT) + 1)
-    lam = lam[:min(keep, len(lam))]
-    return np.sinh(cfg.gain * lam) ** 2
+    """Per-mode thermal pair means sinh^2(B lam_k) over all modes."""
+    return np.sinh(cfg.gain * cfg.coefficients) ** 2
 
 
-def _batch_rng(seed: int, batch: int) -> np.random.Generator:
-    """Counter-based stream for one gate batch; fixed by (seed, batch) alone."""
-    key = np.array([seed % 2**64, batch], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _total_pmf(means) -> np.ndarray:
+    """Distribution of the per-gate pair total, a sum of geometric variables.
 
-
-def _draw_pair_totals(rng, means, size):
-    """Per-gate pair totals summed over modes.
-
-    Equal mode means allow a single negative-binomial draw (the exact
-    distribution of a sum of iid geometric variables); otherwise the modes
-    are sampled one by one.
+    The per-mode pmfs (1 - q_k) q_k^n with q_k = m_k / (1 + m_k) are convolved
+    on a support whose Chernoff tail bound is below 1e-20; the result is cut
+    where the remaining tail weight falls below PMF_TAIL_WEIGHT and
+    renormalized.
     """
-    if np.all(means == means[0]):
-        return rng.negative_binomial(len(means), 1.0 / (1.0 + means[0]), size=size)
-    total = np.zeros(size, dtype=np.int64)
-    for m in means:
-        # geometric on {1, 2, ...} shifted down gives the thermal distribution
-        total += rng.geometric(1.0 / (1.0 + m), size=size) - 1
-    return total
-
-
-def _simulate_batch(seed, batch, size, means, det: DetectionSpec):
-    rng = _batch_rng(seed, batch)
-    totals = _draw_pair_totals(rng, means, size)
-    p_quiet_s = (1.0 - det.eta1) ** totals * (1.0 - det.dark_prob1)
-    p_quiet_i = (1.0 - det.eta2) ** totals * (1.0 - det.dark_prob2)
-    click_s = rng.random(size) >= p_quiet_s
-    click_i = rng.random(size) >= p_quiet_i
-    return int(click_s.sum()), int(click_i.sum()), int((click_s & click_i).sum())
+    q = means / (1.0 + means)
+    q_max = q.max(initial=0.0)
+    length = 1
+    if q_max > 0.0:
+        # P(total >= n) <= E[z^total] / z^n, evaluated at z = q_max^(-1/2)
+        log_z = -0.5 * math.log(q_max)
+        log_mgf = float(np.sum(np.log1p(-q) - np.log1p(-q * math.exp(log_z))))
+        length = math.ceil((log_mgf - math.log(1e-20)) / log_z)
+    pmf = np.zeros(length)
+    pmf[0] = 1.0
+    n = np.arange(length)
+    for qk in q:
+        pmf = np.convolve(pmf, (1.0 - qk) * qk**n)[:length]
+    tail = np.cumsum(pmf[::-1])[::-1]
+    pmf = pmf[:np.count_nonzero(tail >= PMF_TAIL_WEIGHT)]
+    return pmf / pmf.sum()
 
 
 def simulate(cfg: SimConfig) -> CountRecord:
@@ -127,34 +111,27 @@ def simulate(cfg: SimConfig) -> CountRecord:
     click saturation invalidates the low-gain estimator checks.
     """
     means = mode_means(cfg)
-    if means.size and means.max() > SATURATION_MEAN:
+    if means.max(initial=0.0) > SATURATION_MEAN:
         warnings.warn(
             f"strongest mode mean {means.max():.2f} > {SATURATION_MEAN}: "
             "click detectors saturate, low-gain estimators will be biased",
             stacklevel=2,
         )
-    batches = []
-    start = 0
-    index = 0
-    while start < cfg.n_gates:
-        size = min(cfg.batch_gates, cfg.n_gates - start)
-        batches.append((index, size))
-        start += size
-        index += 1
-    workers = int(os.environ.get("TWINPDC_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda b: _simulate_batch(cfg.seed, b[0], b[1], means, cfg.det),
-                batches))
-    else:
-        parts = [_simulate_batch(cfg.seed, b, size, means, cfg.det)
-                 for b, size in batches]
-    s_s = sum(p[0] for p in parts)
-    s_i = sum(p[1] for p in parts)
-    c = sum(p[2] for p in parts)
-    return CountRecord(gates=cfg.n_gates, singles_signal=s_s, singles_idler=s_i,
-                       coincidences=c, gate_rate=cfg.gate_rate)
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([cfg.seed % 2**64, 0], dtype=np.uint64)))
+    pmf = _total_pmf(means)
+    gates_per_total = rng.multinomial(cfg.n_gates, pmf)
+    totals = np.arange(pmf.size)
+    det = cfg.det
+    quiet_s = (1.0 - det.eta1) ** totals * (1.0 - det.dark_prob1)
+    quiet_i = (1.0 - det.eta2) ** totals * (1.0 - det.dark_prob2)
+    # outcomes per total: both click, signal only, idler only, neither
+    outcomes = np.stack([(1.0 - quiet_s) * (1.0 - quiet_i), (1.0 - quiet_s) * quiet_i,
+                         quiet_s * (1.0 - quiet_i), quiet_s * quiet_i], axis=1)
+    both, signal_only, idler_only, _ = rng.multinomial(gates_per_total, outcomes).sum(axis=0)
+    return CountRecord(gates=cfg.n_gates, singles_signal=int(both + signal_only),
+                       singles_idler=int(both + idler_only), coincidences=int(both),
+                       gate_rate=cfg.gate_rate)
 
 
 def exact_click_probabilities(lambdas, gain, det: DetectionSpec):
@@ -163,7 +140,7 @@ def exact_click_probabilities(lambdas, gain, det: DetectionSpec):
     For thermal pair number n_k of mean m_k shared by the arms, the no-click
     generating function gives E[x^n_k] = 1 / (1 + m_k (1 - x)) per mode, so
     the exact threshold-detector probabilities follow from products over
-    modes.  Serves as an independent check on the sampling paths.
+    modes.  Serves as an independent check on the sampler.
     """
     m = np.sinh(gain * np.asarray(lambdas, dtype=float)) ** 2
     quiet_s = np.prod(1.0 / (1.0 + m * det.eta1)) * (1.0 - det.dark_prob1)
@@ -209,11 +186,7 @@ def efficiency_sweep(cfg: SimConfig, pump_powers, power_coefficient=1.0):
             raise ConfigError("pump powers must be positive")
         gain = math.sqrt(power_coefficient * power)
         seed = (cfg.seed + (idx + 1) * 0x9E3779B97F4A7C15) % 2**64
-        point_cfg = SimConfig(source=cfg.source, gain=gain, det=cfg.det,
-                              n_gates=cfg.n_gates, seed=seed,
-                              laser_rep_hz=cfg.laser_rep_hz,
-                              gate_divisor=cfg.gate_divisor,
-                              batch_gates=cfg.batch_gates)
+        point_cfg = replace(cfg, gain=gain, seed=seed)
         rec = simulate(point_cfg)
         kly = klyshko(rec)
         n_est = mean_n_from_cross(rec)

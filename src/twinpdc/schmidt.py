@@ -65,8 +65,14 @@ class SchmidtData:
     def purity(self) -> float:
         return 1.0 / self.mode_number
 
+    def _require_modes(self):
+        """Raise ContractError on a synthetic spectrum, which has no mode functions."""
+        if self.signal_modes is None or self.idler_modes is None:
+            raise ContractError("operation needs mode functions; a synthetic spectrum has none")
+
     def gram_defects(self):
         """Max |G - I| entries of the signal and idler mode Gram matrices."""
+        self._require_modes()
         out = []
         for modes, step in ((self.signal_modes, self.step_signal),
                             (self.idler_modes, self.step_idler)):
@@ -76,6 +82,7 @@ class SchmidtData:
 
     def reconstruct(self):
         """Amplitude values rebuilt from the kept modes."""
+        self._require_modes()
         lam = self.coefficients
         return (self.signal_modes * lam[None, :]) @ self.idler_modes.T
 
@@ -222,6 +229,7 @@ def schmidt_spectral_overlap(sd: SchmidtData) -> complex:
     O = sum_{k, n} lam_k lam_n <psi_n, phi_k> <phi_n, psi_k>, the same
     functional as spectral_overlap up to the truncation residual.
     """
+    sd._require_modes()
     lam = sd.coefficients
     cross_ip = sd.idler_modes.conj().T @ sd.signal_modes * sd.step_signal
     cross_pi = sd.signal_modes.conj().T @ sd.idler_modes * sd.step_idler
@@ -230,6 +238,7 @@ def schmidt_spectral_overlap(sd: SchmidtData) -> complex:
 
 def schmidt_density_overlap(sd: SchmidtData) -> float:
     """Density overlap through the Schmidt basis: sum lam_n^2 lam_k^2 |<phi_n, psi_k>|^2."""
+    sd._require_modes()
     lam2 = sd.coefficients**2
     cross = sd.signal_modes.conj().T @ sd.idler_modes * sd.step_signal
     return float(np.real(np.sum(np.outer(lam2, lam2) * np.abs(cross) ** 2)))

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from twinpdc import (DetectionSpec, SimConfig, efficiency_sweep, equal_mode_spectrum,
                      exact_click_probabilities, extrapolate_zero_power,
                      gain_for_mean_n, klyshko, mean_n_from_cross, simulate)
 from twinpdc.errors import ConfigError
+from twinpdc.montecarlo import _total_pmf
 
 GATE_RATE = 76.2e6 / 64
 
@@ -36,13 +38,6 @@ def test_inconsistent_gate_rate_rejected():
 def test_bit_exact_reproducibility():
     c = cfg(equal_mode_spectrum(10), 0.4, det(), gates=2_500_000, seed=42)
     assert simulate(c) == simulate(c)
-
-
-def test_threads_do_not_change_counts(monkeypatch):
-    c = cfg(equal_mode_spectrum(10), 0.4, det(), gates=2_500_000, seed=42)
-    serial = simulate(c)
-    monkeypatch.setenv("TWINPDC_THREADS", "3")
-    assert simulate(c) == serial
 
 
 def test_different_seeds_differ():
@@ -100,20 +95,69 @@ def test_counts_match_exact_click_probabilities():
         assert abs(counts - gates * p) < 4 * sigma
 
 
-def test_negative_binomial_shortcut_matches_per_mode_sampling():
-    """The equal-mode fast path agrees with explicit per-mode draws."""
-    k, n_target, gates = 6, 0.4, 2_000_000
-    lam_equal = equal_mode_spectrum(k)
-    gain = gain_for_mean_n(n_target, lam_equal)
-    # an infinitesimal perturbation forces the per-mode sampling branch
-    lam_perturbed = lam_equal * (1.0 + 1e-12 * np.arange(k))
-    d = det(eta1=0.2, eta2=0.15)
-    fast = simulate(cfg(lam_equal, gain, d, gates=gates, seed=13))
-    slow = simulate(cfg(lam_perturbed, gain, d, gates=gates, seed=14))
-    for a, b in ((fast.singles_signal, slow.singles_signal),
-                 (fast.singles_idler, slow.singles_idler),
-                 (fast.coincidences, slow.coincidences)):
-        assert abs(a - b) < 5 * math.sqrt(max(a, b))
+def per_gate_reference(means, detection, gates, seed):
+    """Gate-by-gate sampler: per-mode geometric pair numbers, independent thinning."""
+    rng = np.random.default_rng(seed)
+    totals = np.zeros(gates, dtype=np.int64)
+    for m in means:
+        # geometric on {1, 2, ...} shifted down gives the thermal distribution
+        totals += rng.geometric(1.0 / (1.0 + m), size=gates) - 1
+    click_s = (rng.binomial(totals, detection.eta1) > 0) | (
+        rng.random(gates) < detection.dark_prob1)
+    click_i = (rng.binomial(totals, detection.eta2) > 0) | (
+        rng.random(gates) < detection.dark_prob2)
+    return (int(click_s.sum()), int(click_i.sum()), int((click_s & click_i).sum()))
+
+
+def test_counts_sampler_matches_per_gate_reference():
+    """The counts-level draws have the distribution of the gate-by-gate process."""
+    lam = np.array([0.7, 0.5, 0.35, 0.25, 0.2, 0.15])
+    lam = lam / np.linalg.norm(lam)
+    gain = gain_for_mean_n(0.4, lam)
+    d = det(eta1=0.2, eta2=0.15, dark1=1e-3, dark2=2e-3)
+    gates = 2_000_000
+    rec = simulate(cfg(lam, gain, d, gates=gates, seed=13))
+    reference = per_gate_reference(np.sinh(gain * lam) ** 2, d, gates, seed=14)
+    for a, b in zip((rec.singles_signal, rec.singles_idler, rec.coincidences), reference):
+        assert abs(a - b) < 5 * math.sqrt(a + b)
+
+
+@pytest.mark.parametrize("means", [np.array([0.3, 0.1, 0.02, 1e-6]),
+                                   np.linspace(0.5, 0.01, 40)])
+def test_total_pmf_moments(means):
+    pmf = _total_pmf(means)
+    n = np.arange(pmf.size)
+    mean = np.sum(n * pmf)
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-15)
+    assert mean == pytest.approx(means.sum(), rel=1e-12)
+    assert np.sum((n - mean) ** 2 * pmf) == pytest.approx(
+        np.sum(means * (1 + means)), rel=1e-12)
+
+
+@pytest.mark.parametrize("k, m", [(1, 0.9), (6, 0.1), (20, 0.025)])
+def test_total_pmf_equal_means_is_negative_binomial(k, m):
+    pmf = _total_pmf(np.full(k, m))
+    expected = stats.nbinom(k, 1.0 / (1.0 + m)).pmf(np.arange(pmf.size))
+    np.testing.assert_allclose(pmf, expected, rtol=0, atol=1e-12)
+
+
+def test_cost_is_independent_of_gates_and_no_mode_is_dropped():
+    """10^11 gates on 300 unequal modes land on the closed form over the full spectrum.
+
+    Dropping the weakest modes that carry 1e-4 of the weight shifts every
+    count here by more than 7 sigma.
+    """
+    lam = np.exp(-np.arange(300) / 60.0)
+    lam = lam / np.linalg.norm(lam)
+    gain = gain_for_mean_n(0.5, lam)
+    d = det(eta1=0.3, eta2=0.25, dark1=1e-5, dark2=2e-5)
+    gates = 10**11
+    rec = simulate(cfg(lam, gain, d, gates=gates, seed=29))
+    assert rec.gates == gates
+    p_s, p_i, p_c = exact_click_probabilities(lam, gain, d)
+    for counts, p in ((rec.singles_signal, p_s), (rec.singles_idler, p_i),
+                      (rec.coincidences, p_c)):
+        assert abs(counts - gates * p) < 5 * math.sqrt(gates * p * (1 - p))
 
 
 def test_arm_symmetry_under_eta_swap():

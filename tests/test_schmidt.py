@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from twinpdc import (FrequencyGrid, GainSpec, JointAmplitude, apply_filter,
+from twinpdc import (FrequencyGrid, GainSpec, JointAmplitude, SchmidtData, apply_filter,
                      decompose, delay_compensated_overlap, density_overlap,
                      gain_for_mean_n, schmidt_density_overlap,
                      schmidt_spectral_overlap, spectral_overlap)
@@ -239,3 +239,12 @@ def test_gain_for_mean_n_inverts():
 def test_gain_rejects_negative():
     with pytest.raises(ContractError):
         GainSpec(gain=-0.1, squeezing=np.array([]), mean_n=0.0)
+
+
+@pytest.mark.parametrize("operation", [
+    SchmidtData.gram_defects, SchmidtData.reconstruct,
+    schmidt_spectral_overlap, schmidt_density_overlap])
+def test_synthetic_spectrum_has_no_mode_functions(operation):
+    sd = SchmidtData.from_spectrum([0.8, 0.5, 0.3])
+    with pytest.raises(ContractError, match="mode functions"):
+        operation(sd)
