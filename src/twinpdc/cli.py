@@ -3,7 +3,8 @@
 Subcommands: jsa | overlap | schmidt | visibility | montecarlo | fit | report.
 All numeric output is CSV with a comment header naming the units, the formula
 implemented and the effective configuration.  Exit codes: 0 ok, 1 usage,
-2 config, 3 numeric/resolution, 4 non-convergence.
+2 config or an unreadable/unwritable file, 3 numeric/resolution,
+4 non-convergence.
 """
 import argparse
 import csv
@@ -336,6 +337,9 @@ def main(argv=None) -> int:
     except FitConvergenceError as exc:
         print(f"fit did not converge: {exc}", file=sys.stderr)
         return EXIT_NOCONVERGENCE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except TwinPdcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

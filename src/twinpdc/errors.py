@@ -1,7 +1,7 @@
 """Exception hierarchy.
 
-The CLI maps these onto exit codes: ConfigError -> 2, numeric/grid errors -> 3,
-FitConvergenceError -> 4.
+The CLI maps these onto exit codes: ConfigError (and OSError) -> 2, numeric/grid
+errors -> 3, FitConvergenceError -> 4.
 """
 
 

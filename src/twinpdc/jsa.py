@@ -314,8 +314,16 @@ def jsi_linewidth(jsa: JointAmplitude, axis="antidiagonal") -> float:
 
 
 def dump_grid(jsa: JointAmplitude, path, header_lines=()):
-    """Write the amplitude as a text header plus row-major 're im' pairs."""
+    """Write the amplitude as a text header plus row-major 're im' pairs.
+
+    Each double is printed with '%.17g', the shortest fixed-precision form
+    that reads back to the same bits, one 're im' pair per line.
+    """
     g = jsa.grid
+    # one signal row of n_i pairs per write: a single C-level %-format call
+    rows = np.ascontiguousarray(jsa.values, dtype=complex).view(float)
+    rows = rows.reshape(g.n_s, 2 * g.n_i)
+    row_format = "%.17g %.17g\n" * g.n_i
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
@@ -323,29 +331,49 @@ def dump_grid(jsa: JointAmplitude, path, header_lines=()):
         fh.write(f"# normalized={jsa.normalized}\n")
         fh.write("# units: detuning rad/ps, amplitude (rad/ps)^-1; "
                  "row-major over (signal, idler); one 're im' pair per line\n")
-        for val in jsa.values.ravel():
-            fh.write(f"{val.real:.17g} {val.imag:.17g}\n")
+        for row in rows:
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def load_grid(path) -> JointAmplitude:
-    """Read an amplitude written by dump_grid."""
+    """Read an amplitude written by dump_grid, bit for bit.
+
+    Raises:
+        ConfigError: naming the file, if a header field is missing or
+            malformed, the body is not n_s * n_i 're im' pairs of numbers, or
+            a file marked normalized=True is not normalized to
+            NORMALIZATION_TOL.
+    """
     meta = {}
-    data = []
     with open(path) as fh:
         for line in fh:
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if "=" in tok:
-                        k, _, v = tok.partition("=")
-                        meta[k] = v
-                continue
-            re_, im_ = line.split()
-            data.append(complex(float(re_), float(im_)))
-    try:
-        grid = FrequencyGrid(int(meta["n_s"]), int(meta["n_i"]),
-                             float(meta["span_s"]), float(meta["span_i"]))
-    except KeyError as exc:
-        raise ConfigError(f"grid dump missing header field {exc}") from exc
-    values = np.array(data, dtype=complex).reshape(grid.n_s, grid.n_i)
-    return JointAmplitude(grid=grid, values=values,
-                          normalized=meta.get("normalized") == "True")
+            if not line.startswith("#"):
+                break
+            for tok in line[1:].split():
+                if "=" in tok:
+                    k, _, v = tok.partition("=")
+                    meta[k] = v
+        try:
+            grid = FrequencyGrid(int(meta["n_s"]), int(meta["n_i"]),
+                                 float(meta["span_s"]), float(meta["span_i"]))
+        except KeyError as exc:
+            raise ConfigError(f"grid dump {path} missing header field {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"grid dump {path} has a malformed header: {exc}") from exc
+        fh.seek(0)  # loadtxt skips the '#' header itself
+        try:
+            pairs = np.loadtxt(fh, dtype=float, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"grid dump {path}: {exc}") from exc
+    n = grid.n_s * grid.n_i
+    if pairs.shape != (n, 2):
+        raise ConfigError(f"grid dump {path} holds {pairs.shape[0]} lines of "
+                          f"{pairs.shape[1]} values; expected {n} 're im' pairs")
+    jsa = JointAmplitude(grid=grid, values=pairs.view(complex).reshape(grid.n_s, grid.n_i),
+                         normalized=meta.get("normalized") == "True")
+    if jsa.normalized:
+        try:
+            jsa.check_normalized()
+        except ValueError as exc:
+            raise ConfigError(f"grid dump {path} says normalized=True: {exc}") from exc
+    return jsa

@@ -277,12 +277,15 @@ def read_count_records(path):
     out = []
     with open(path) as fh:
         rows = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(rows)
+        header = next(rows, [])
         if tuple(header) != COUNT_FIELDS:
             raise ContractError(f"unexpected count CSV header {header}")
         for row in rows:
-            out.append(CountRecord(int(row[0]), int(row[1]), int(row[2]),
-                                   int(row[3]), float(row[4])))
+            try:
+                out.append(CountRecord(int(row[0]), int(row[1]), int(row[2]),
+                                       int(row[3]), float(row[4])))
+            except (IndexError, ValueError) as exc:
+                raise ContractError(f"{path}: malformed count row {row}") from exc
     return out
 
 
@@ -300,9 +303,12 @@ def read_visibility_points(path):
     out = []
     with open(path) as fh:
         rows = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(rows)
+        header = next(rows, [])
         if tuple(header) != POINT_FIELDS:
             raise ContractError(f"unexpected visibility CSV header {header}")
         for row in rows:
-            out.append(VisibilityPoint(float(row[0]), float(row[1]), float(row[2])))
+            try:
+                out.append(VisibilityPoint(float(row[0]), float(row[1]), float(row[2])))
+            except (IndexError, ValueError) as exc:
+                raise ContractError(f"{path}: malformed visibility row {row}") from exc
     return out

@@ -156,6 +156,21 @@ def test_cli_jsa_dump_roundtrip(tmp_path):
     assert jsa.norm_squared() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_cli_jsa_dump_missing_dir_exit_code(tmp_path, capsys):
+    code = main(["jsa", "--grid", "512,4.0", "--out", str(tmp_path),
+                 "--dump", str(tmp_path / "missing" / "grid.txt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_fit_missing_input_exit_code(tmp_path, capsys):
+    code = main(["fit", str(tmp_path / "missing.csv"), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_cli_overlap_report(capsys):
     code = main(["overlap"])
     assert code == 0

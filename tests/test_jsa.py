@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinpdc import (FilterSpec, FrequencyGrid, PumpSpec, apply_filter, build_jsa,
                      device_spec, fwhm, jsi_linewidth, marginals, pm_function,
                      pump_envelope)
 from twinpdc.dispersion import delta_k
-from twinpdc.errors import RangeError, ResolutionError
+from twinpdc.errors import ConfigError, RangeError, ResolutionError
 from twinpdc.jsa import JointAmplitude, dump_grid, load_grid
 from twinpdc.units import angular_to_thz, bandwidth_nm_to_angular
 
@@ -241,14 +243,114 @@ def test_linewidth_arc_length_definition():
 
 # --- grid dump roundtrip -----------------------------------------------------
 
+def reference_dump(jsa, path, header_lines=()):
+    """Per-line writer that defines the text format; dump_grid must match its bytes."""
+    g = jsa.grid
+    with open(path, "w") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write(f"# n_s={g.n_s} n_i={g.n_i} span_s={g.span_s!r} span_i={g.span_i!r}\n")
+        fh.write(f"# normalized={jsa.normalized}\n")
+        fh.write("# units: detuning rad/ps, amplitude (rad/ps)^-1; "
+                 "row-major over (signal, idler); one 're im' pair per line\n")
+        for val in jsa.values.ravel():
+            fh.write(f"{val.real:.17g} {val.imag:.17g}\n")
+
+
+def chirped_jsa(n_s=24, n_i=40):
+    """Normalized non-separable complex amplitude on a non-square grid."""
+    grid = FrequencyGrid(n_s, n_i, 3.0, 2.5)
+    nu_s, nu_i = grid.meshes()
+    values = np.exp(-(nu_s + nu_i) ** 2 - 0.3 * (nu_s - nu_i) ** 2 + 1j * nu_s * nu_i)
+    values /= math.sqrt(np.sum(np.abs(values) ** 2) * grid.step_signal * grid.step_idler)
+    return JointAmplitude(grid=grid, values=values, normalized=True)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_dump_and_load_roundtrip(tmp_path):
-    jsa = separable_jsa(n=32, span=3.0)
     path = tmp_path / "grid.txt"
-    dump_grid(jsa, path, header_lines=["roundtrip test"])
-    back = load_grid(path)
-    assert back.grid == jsa.grid
-    assert back.normalized
-    assert np.allclose(back.values, jsa.values, rtol=0, atol=1e-16)
+    for jsa in (separable_jsa(n=32, span=3.0), chirped_jsa()):
+        dump_grid(jsa, path, header_lines=["roundtrip test"])
+        back = load_grid(path)
+        assert back.grid == jsa.grid
+        assert back.normalized
+        assert same_bits(back.values, jsa.values)
+
+
+def test_dump_matches_reference_writer_bytes(tmp_path, device, pump):
+    sinc = build_jsa(device, pump, FrequencyGrid(48, 64, 2.0, 3.0))
+    for jsa in (separable_jsa(n=32, span=3.0), chirped_jsa(), sinc):
+        dump_grid(jsa, tmp_path / "fast.txt", header_lines=["a", "b c"])
+        reference_dump(jsa, tmp_path / "ref.txt", header_lines=["a", "b c"])
+        assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
+EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308]
+FINITE_DOUBLES = st.one_of(st.sampled_from(EDGE_DOUBLES),
+                           st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_s=st.integers(2, 6), n_i=st.integers(2, 6), data=st.data())
+def test_dump_load_bit_exact_property(tmp_path_factory, n_s, n_i, data):
+    """Any finite grid, the extreme and signed-zero doubles included, round-trips."""
+    n = 2 * n_s * n_i
+    flat = EDGE_DOUBLES + data.draw(st.lists(FINITE_DOUBLES, min_size=n - len(EDGE_DOUBLES),
+                                             max_size=n - len(EDGE_DOUBLES)))
+    pairs = np.array(data.draw(st.permutations(flat)), dtype=float).reshape(n_s, 2 * n_i)
+    spans = st.floats(min_value=1e-6, max_value=1e6)
+    grid = FrequencyGrid(n_s, n_i, data.draw(spans), data.draw(spans))
+    jsa = JointAmplitude(grid=grid, values=pairs.view(complex))
+    tmp = tmp_path_factory.mktemp("grid")
+    dump_grid(jsa, tmp / "fast.txt")
+    reference_dump(jsa, tmp / "ref.txt")
+    assert (tmp / "fast.txt").read_bytes() == (tmp / "ref.txt").read_bytes()
+    back = load_grid(tmp / "fast.txt")
+    assert back.grid == grid
+    assert not back.normalized
+    assert same_bits(back.values, jsa.values)
+
+
+def _set_line(k, text):
+    def edit(body):
+        body[k] = text
+        return body
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda body: body[:-1],
+    lambda body: body + ["0 0\n"],
+    _set_line(1, "0.5\n"),
+    _set_line(2, "0.5 0.25 0\n"),
+    _set_line(3, "0.5 abc\n"),
+    lambda body: ["5 0\n"] * len(body),
+], ids=["truncated", "extra-value", "one-column", "three-column", "non-numeric",
+        "mis-normalized"])
+def test_load_grid_rejects_malformed_body(tmp_path, edit):
+    path = tmp_path / "grid.txt"
+    dump_grid(chirped_jsa(2, 3), path)
+    lines = path.read_text().splitlines(keepends=True)
+    header = [line for line in lines if line.startswith("#")]
+    body = [line for line in lines if not line.startswith("#")]
+    path.write_text("".join(header + edit(body)))
+    with pytest.raises(ConfigError) as exc:
+        load_grid(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("old, new", [("n_s=2", "n_s=two"), ("n_i=3 ", "")],
+                         ids=["non-integer", "missing-field"])
+def test_load_grid_rejects_malformed_header(tmp_path, old, new):
+    path = tmp_path / "grid.txt"
+    dump_grid(chirped_jsa(2, 3), path)
+    path.write_text(path.read_text().replace(old, new, 1))
+    with pytest.raises(ConfigError) as exc:
+        load_grid(path)
+    assert str(path) in str(exc.value)
 
 
 def test_grid_convergence_of_overlap(doubling_overlap_pair):

@@ -260,3 +260,31 @@ def test_visibility_points_csv_roundtrip(tmp_path):
     path = tmp_path / "points.csv"
     write_visibility_points(path, pts)
     assert read_visibility_points(path) == pts
+
+
+@pytest.mark.parametrize("bad_row", ["100,50,40", "100,50,40,x,1.0"])
+def test_count_csv_malformed_row_rejected(tmp_path, bad_row):
+    path = tmp_path / "counts.csv"
+    write_count_records(path, [record(10**6, 5000, 4000, 100)])
+    with open(path, "a") as fh:
+        fh.write(bad_row + "\n")
+    with pytest.raises(ContractError, match="malformed count row"):
+        read_count_records(path)
+
+
+@pytest.mark.parametrize("bad_row", ["0.1,0.8", "0.1,high,0.01"])
+def test_visibility_csv_malformed_row_rejected(tmp_path, bad_row):
+    path = tmp_path / "points.csv"
+    write_visibility_points(path, [VisibilityPoint(0.1, 0.8, 0.01)])
+    with open(path, "a") as fh:
+        fh.write(bad_row + "\n")
+    with pytest.raises(ContractError, match="malformed visibility row"):
+        read_visibility_points(path)
+
+
+def test_empty_csv_rejected(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("# comment only\n")
+    for reader in (read_count_records, read_visibility_points):
+        with pytest.raises(ContractError, match="header"):
+            reader(path)
