@@ -20,19 +20,24 @@ from .errors import (ConfigError, ContractError, FitConvergenceError, GridShapeE
                      IllPosedError, NonPhysicalCorrelationError, RangeError,
                      ResolutionError, TwinPdcError)
 from .fit import fit_overlap
-from .jsa import apply_filter, build_jsa, dump_grid, fwhm, jsi_linewidth, marginals
+from .jsa import apply_filter, build_jsa, dump_grid, marginals
 from .montecarlo import (efficiency_sweep, extrapolate_zero_power, simulate)
-from .report import run_report
+from .report import jsi_geometry, run_report
 from .schmidt import (decompose, delay_compensated_overlap, spectral_overlap)
 from .twinstats import (klyshko, mean_n_from_cross, read_visibility_points,
                         visibility_full, write_count_records)
-from .units import angular_to_thz, thz_to_wavelength_nm
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_NOCONVERGENCE = 4
+
+MODEL_FORMULAS = {
+    "approx": "V = (1 + O) / (3 - O + 4 n)",
+    "full": "V = ([1+O] + n(1 - (e1/e2 + e2/e1)/2)) / "
+            "([3-O] + 3n + n(e1/e2 + e2/e1)/2)",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,10 +144,7 @@ def _built_jsa(cfg, device, args, filtered):
 def cmd_jsa(args):
     cfg, device = _load(args)
     jsa_obj, transmitted = _built_jsa(cfg, device, args, filtered=args.filter != "none")
-    lam_deg = device.degeneracy_wavelength_nm
     sig, idl = marginals(jsa_obj)
-    lw = jsi_linewidth(jsa_obj, "antidiagonal")
-    lw_nm = angular_to_thz(lw) * lam_deg**2 / 299792.458
     tilt = pm_tilt_deviation(device)
 
     os.makedirs(args.out, exist_ok=True)
@@ -157,16 +159,12 @@ def cmd_jsa(args):
     if args.dump:
         dump_grid(jsa_obj, args.dump, header_lines=["twinpdc jsa grid dump"])
 
-    f_deg = angular_to_thz(device.pump_center) / 2.0
-    print(f"anti-diagonal linewidth: {lw:.4f} rad/ps ({lw_nm:.3f} nm)")
+    geo = jsi_geometry(device, jsa_obj)
+    print(f"anti-diagonal linewidth: {geo.linewidth:.4f} rad/ps "
+          f"({geo.linewidth_nm:.3f} nm)")
     print(f"phasematching tilt deviation: {tilt:.3f} deg")
-    for name, axis, dens in (("signal", jsa_obj.grid.axis_signal, sig),
-                             ("idler", jsa_obj.grid.axis_idler, idl)):
-        width, center = fwhm(axis, dens)
-        lo = thz_to_wavelength_nm(f_deg + angular_to_thz(center - width / 2))
-        hi = thz_to_wavelength_nm(f_deg + angular_to_thz(center + width / 2))
-        cen = thz_to_wavelength_nm(f_deg + angular_to_thz(center))
-        print(f"{name} marginal: {lo - hi:.1f} nm wide, centered {cen:.1f} nm")
+    for name, (width_nm, center_nm) in (("signal", geo.signal), ("idler", geo.idler)):
+        print(f"{name} marginal: {width_nm:.1f} nm wide, centered {center_nm:.1f} nm")
     if transmitted is not None:
         print(f"filter transmitted fraction: {transmitted:.4f}")
     print(f"wrote {path}")
@@ -217,8 +215,7 @@ def cmd_visibility(args):
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "visibility.csv")
     with open(path, "w", newline="") as fh:
-        _csv_header(fh, cfg, "visibility V = ([1+O] + n(1 - (e1/e2 + e2/e1)/2)) / "
-                             "([3-O] + 3n + n(e1/e2 + e2/e1)/2)",
+        _csv_header(fh, cfg, f"visibility {MODEL_FORMULAS['full']}",
                     ["mean_n", "visibility"])
         writer = csv.writer(fh)
         for n, v in zip(grid, vis):
@@ -283,8 +280,10 @@ def cmd_fit(args):
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "fit_report.csv")
     with open(path, "w", newline="") as fh:
-        fh.write("# twinpdc fit: V = (1 + O) / (3 - O + 4 n) weighted least squares\n")
+        fh.write(f"# twinpdc fit: {MODEL_FORMULAS[args.model]} weighted least squares\n")
         fh.write(f"# overlap,{result.overlap:.9g}\n")
+        if args.model == "full":
+            fh.write(f"# eta_ratio,{result.eta_ratio:.9g}\n")
         fh.write(f"# sigma,{result.sigma:.3g}\n")
         fh.write(f"# chi_square,{result.chi_square:.6g}\n")
         fh.write(f"# boundary,{result.at_boundary}\n")

@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dispersion import DeviceSpec, delta_k
-from .errors import ConfigError, GridShapeError, RangeError, ResolutionError
+from .errors import (ConfigError, ContractError, GridShapeError, RangeError,
+                     ResolutionError)
 from .units import bandwidth_nm_to_angular
 
 NORMALIZATION_TOL = 1e-9
@@ -163,9 +164,10 @@ class JointAmplitude:
         return float(np.sum(self.intensity()) * self.cell_area)
 
     def check_normalized(self, tol=NORMALIZATION_TOL):
+        """Raise ContractError if the discrete norm is off 1 by more than tol."""
         err = abs(self.norm_squared() - 1.0)
         if err > tol:
-            raise ValueError(f"normalization off by {err:.2e}")
+            raise ContractError(f"normalization off by {err:.2e}")
 
 
 def pump_envelope(pump: PumpSpec, nu_s, nu_i):
@@ -233,6 +235,7 @@ def apply_filter(jsa: JointAmplitude, filt: FilterSpec):
         the pre-renormalization intensity transmission (heralding-relevant).
 
     Raises:
+        ContractError: if the input is not normalized.
         ResolutionError: if the filter bandwidth spans fewer than 2 grid steps.
     """
     jsa.check_normalized()
@@ -374,6 +377,6 @@ def load_grid(path) -> JointAmplitude:
     if jsa.normalized:
         try:
             jsa.check_normalized()
-        except ValueError as exc:
+        except ContractError as exc:
             raise ConfigError(f"grid dump {path} says normalized=True: {exc}") from exc
     return jsa

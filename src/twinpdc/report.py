@@ -1,12 +1,16 @@
 """End-to-end verification report on the bundled (or a user) configuration.
 
-Chains the joint-amplitude build, overlap evaluations, Schmidt decomposition,
-visibility identities, estimator Monte Carlo and the fit round trip, checking
-every headline number against its tolerance band.  Used by the `report` CLI
-command; the test suite performs the same checks independently.
+CRITERIA is the one table of acceptance criteria: each row names a headline
+number, its allowed band and the evaluator that computes it from a lazily
+built ReportInputs.  The rows chain the joint-amplitude build, the overlap
+evaluations, the Schmidt decomposition, the visibility identities, the fit
+round trips and the estimator Monte Carlo.  The `report` CLI command walks
+the table and the acceptance tests parametrize over it.
 """
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -20,12 +24,17 @@ from .schmidt import (decompose, delay_compensated_overlap, gain_for_mean_n,
 from .twinstats import (DetectionSpec, mean_n_from_cross, visibility_approx,
                         visibility_full)
 from .fit import fit_overlap, points_from_arrays
-from .units import angular_to_thz, thz_to_wavelength_nm
+from .units import angular_bandwidth_to_nm, angular_to_thz, thz_to_wavelength_nm
 
 ESTIMATOR_MEAN_N = (0.1, 0.25, 0.5)
 ESTIMATOR_ETA = (0.02, 0.03, 0.04)
 ESTIMATOR_MODES = (1, 4, 20)
 SWEEP_MEAN_N = (0.05, 0.1, 0.15, 0.2, 0.3, 0.4)
+SWEEP_ETA = {"signal": 0.060, "idler": 0.056}
+FIT_MEAN_N = np.linspace(0.05, 0.5, 12)
+FIT_SIGMA_V = 0.01
+FIT_TARGETS = (0.95, 0.816)
+NOISY_FITS = 100
 
 
 @dataclass(frozen=True)
@@ -45,128 +54,139 @@ class CheckResult:
                 f"(allowed {self.low:g} .. {self.high:g})")
 
 
-def _marginal_geometry(device, jsa_obj):
-    """Widths (nm) and band centers (nm) of the two marginals."""
-    sig, idl = marginals(jsa_obj)
-    out = []
+@dataclass(frozen=True)
+class JsiGeometry:
+    """Anti-diagonal JSI linewidth and the (width, center) of each marginal."""
+
+    linewidth: float        # rad/ps
+    linewidth_nm: float
+    signal: tuple           # (FWHM nm, center nm)
+    idler: tuple
+
+
+def jsi_geometry(device, jsa_obj) -> JsiGeometry:
+    """Linewidth and marginal bands of an amplitude, in wavelength units."""
+    lw = jsi_linewidth(jsa_obj, "antidiagonal")
     f_deg = angular_to_thz(device.pump_center) / 2.0
+    sig, idl = marginals(jsa_obj)
+    bands = []
     for axis, dens in ((jsa_obj.grid.axis_signal, sig), (jsa_obj.grid.axis_idler, idl)):
         width, center = fwhm(axis, dens)
         f_lo = f_deg + angular_to_thz(center - width / 2.0)
         f_hi = f_deg + angular_to_thz(center + width / 2.0)
-        width_nm = thz_to_wavelength_nm(f_lo) - thz_to_wavelength_nm(f_hi)
-        center_nm = thz_to_wavelength_nm(f_deg + angular_to_thz(center))
-        out.append((width_nm, center_nm))
-    return out
+        bands.append((thz_to_wavelength_nm(f_lo) - thz_to_wavelength_nm(f_hi),
+                      thz_to_wavelength_nm(f_deg + angular_to_thz(center))))
+    return JsiGeometry(lw, angular_bandwidth_to_nm(lw, device.degeneracy_wavelength_nm),
+                       *bands)
 
 
-def run_report(cfg, include_montecarlo=True, mc_seed=None, progress=None):
-    """Evaluate all verification checks; returns a list of CheckResult."""
-    def note(msg):
-        if progress is not None:
-            progress(msg)
+class ReportInputs:
+    """The artifacts the criteria share, each built on first use."""
 
-    checks = []
-    device = cfgmod.device_from_config(cfg)
-    pump = cfgmod.pump_from_config(cfg)
-    approx = cfgmod.approximation_from_config(cfg)
-    lam_deg = device.degeneracy_wavelength_nm
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.device = cfgmod.device_from_config(cfg)
+        self.pump = cfgmod.pump_from_config(cfg)
+        self.approx = cfgmod.approximation_from_config(cfg)
+        self.seed = int(cfg["sim"]["seed"])
+        self.gate_rate = cfgmod.gate_rate_from_config(cfg)
 
-    checks.append(CheckResult("phasematching tilt deviation (deg)",
-                              pm_tilt_deviation(device), 0.4, 0.6))
+    @cached_property
+    def unfiltered(self):
+        return build_jsa(self.device, self.pump, cfgmod.grid_from_config(self.cfg),
+                         self.approx)
 
-    note("building unfiltered joint amplitude")
-    grid = cfgmod.grid_from_config(cfg)
-    unfiltered = build_jsa(device, pump, grid, approx)
+    @cached_property
+    def unfiltered_overlap(self) -> float:
+        return abs(spectral_overlap(self.unfiltered))
 
-    o_plain = abs(spectral_overlap(unfiltered))
-    checks.append(CheckResult("unfiltered spectral overlap |O|", o_plain, 0.24, 0.28))
+    @cached_property
+    def doubled_overlap(self) -> float:
+        """|O| with the grid step halved; the 4095^2 grid itself is not kept."""
+        grid = self.unfiltered.grid
+        doubled = build_jsa(self.device, self.pump,
+                            FrequencyGrid.square(2 * grid.n_s - 1, grid.span_s),
+                            self.approx)
+        return abs(spectral_overlap(doubled))
 
-    note("grid-doubling convergence")
-    doubled = build_jsa(device, pump,
-                        FrequencyGrid.square(2 * grid.n_s - 1, grid.span_s), approx)
-    checks.append(CheckResult("overlap change under grid doubling",
-                              abs(abs(spectral_overlap(doubled)) - o_plain),
-                              0.0, 0.003))
-    del doubled
+    @cached_property
+    def filtered(self):
+        """Unfiltered amplitude on the tighter span of the filter studies."""
+        return build_jsa(self.device, self.pump,
+                         cfgmod.grid_from_config(self.cfg, filtered=True), self.approx)
 
-    note("delay-compensated overlap")
-    span = 3.0 * abs(device.group_delay_ps())
-    _, o_comp = delay_compensated_overlap(unfiltered, (-span, span))
-    checks.append(CheckResult("delay-compensated overlap", o_comp, 0.74, 0.78))
+    def filtered_overlap(self, preset) -> float:
+        jsa_obj, _ = apply_filter(self.filtered,
+                                  cfgmod.filter_preset(preset, self.device, self.cfg))
+        return abs(spectral_overlap(jsa_obj))
 
-    lw = jsi_linewidth(unfiltered, "antidiagonal")
-    lw_nm = angular_to_thz(lw) * lam_deg**2 / 299792.458
-    checks.append(CheckResult("anti-diagonal linewidth (nm)", lw_nm, 0.5, 0.7))
-    lw_diag = jsi_linewidth(unfiltered, "diagonal")
-    checks.append(CheckResult("diagonal/anti-diagonal width ratio",
-                              lw_diag / lw, 100.0, math.inf))
+    @cached_property
+    def schmidt(self):
+        return decompose(self.unfiltered)
 
-    (w_s, c_s), (w_i, c_i) = _marginal_geometry(device, unfiltered)
-    checks.append(CheckResult("signal marginal width (nm)", w_s, 80.0, 100.0))
-    checks.append(CheckResult("idler marginal width (nm)", w_i, 80.0, 100.0))
-    checks.append(CheckResult("signal marginal center (nm)", c_s, 1564.0, 1570.0))
-    checks.append(CheckResult("idler marginal center (nm)", c_i, 1532.0, 1538.0))
+    @cached_property
+    def geometry(self) -> JsiGeometry:
+        return jsi_geometry(self.device, self.unfiltered)
 
-    note("filtered overlaps")
-    fgrid = cfgmod.grid_from_config(cfg, filtered=True)
-    filtered_jsa = build_jsa(device, pump, fgrid, approx)
-    g12, _ = apply_filter(filtered_jsa, cfgmod.filter_preset("g12", device, cfg))
-    checks.append(CheckResult("12 nm Gaussian overlap", abs(spectral_overlap(g12)),
-                              0.96, 1.0))
-    sg40, _ = apply_filter(filtered_jsa, cfgmod.filter_preset("sg40", device, cfg))
-    checks.append(CheckResult("40 nm flat-top overlap", abs(spectral_overlap(sg40)),
-                              0.81, 0.85))
-    del g12, sg40, filtered_jsa
+    @cached_property
+    def fit_statistics(self) -> dict:
+        """Per target O: (RMS error, fits whose 1-sigma interval covers O)."""
+        rng = np.random.default_rng(self.seed)
+        sigma = np.full(FIT_MEAN_N.size, FIT_SIGMA_V)
+        stats = {}
+        for target in FIT_TARGETS:
+            exact = visibility_approx(target, FIT_MEAN_N)
+            errors, covered = [], 0
+            for _ in range(NOISY_FITS):
+                noisy = exact + rng.normal(0.0, FIT_SIGMA_V, FIT_MEAN_N.size)
+                r = fit_overlap(points_from_arrays(FIT_MEAN_N, noisy, sigma))
+                errors.append(r.overlap - target)
+                if abs(r.overlap - target) <= r.sigma:
+                    covered += 1
+            stats[target] = (float(np.sqrt(np.mean(np.square(errors)))), covered)
+        return stats
 
-    note("Schmidt decomposition of the unfiltered amplitude")
-    sd = decompose(unfiltered)
-    checks.append(CheckResult("effective mode number K", sd.mode_number, 10.0, math.inf))
-    checks.append(CheckResult("grid vs Schmidt-basis overlap difference",
-                              abs(abs(schmidt_spectral_overlap(sd)) - o_plain),
-                              0.0, 1e-3))
-    del sd, unfiltered
+    @cached_property
+    def sweep_intercepts(self) -> dict:
+        """Zero-power Klyshko efficiency of each arm from a 20-mode power sweep."""
+        lam = equal_mode_spectrum(20)
+        det = DetectionSpec(eta1=SWEEP_ETA["signal"], eta2=SWEEP_ETA["idler"],
+                            gate_rate=self.gate_rate)
+        base = SimConfig(source=lam, gain=1.0, det=det, n_gates=20_000_000,
+                         seed=self.seed + 1000)
+        powers = [gain_for_mean_n(n, lam) ** 2 for n in SWEEP_MEAN_N]
+        points = efficiency_sweep(base, powers)
+        return {
+            "signal": extrapolate_zero_power(
+                powers, [p.corrected_signal for p in points],
+                [p.sigma_signal for p in points])[0],
+            "idler": extrapolate_zero_power(
+                powers, [p.corrected_idler for p in points],
+                [p.sigma_idler for p in points])[0],
+        }
 
-    note("visibility identities")
+
+def _delay_compensated(inputs):
+    span = 3.0 * abs(inputs.device.group_delay_ps())
+    return delay_compensated_overlap(inputs.unfiltered, (-span, span))[1]
+
+
+def _balanced_identity(inputs):
     ov, nn = np.meshgrid(np.linspace(0, 1, 100), np.linspace(0, 2, 100))
-    diff = np.max(np.abs(visibility_full(ov, nn, 0.31, 0.31)
-                         - visibility_approx(ov, nn)))
-    checks.append(CheckResult("balanced full model vs approx (max diff)",
-                              float(diff), 0.0, 1e-12))
-    checks.append(CheckResult("visibility at O=0, n=0 (offset from 1/3)",
-                              abs(visibility_approx(0.0, 0.0) - 1.0 / 3.0), 0.0, 0.0))
-    checks.append(CheckResult("visibility at O=1, n=0 (offset from 1)",
-                              abs(visibility_approx(1.0, 0.0) - 1.0), 0.0, 0.0))
-
-    note("fit round trips")
-    n_grid = np.linspace(0.05, 0.5, 12)
-    exact = visibility_approx(0.95, n_grid)
-    res = fit_overlap(points_from_arrays(n_grid, exact, np.full(12, 0.01)))
-    checks.append(CheckResult("noiseless fit round-trip error",
-                              abs(res.overlap - 0.95), 0.0, 1e-6))
-    rng = np.random.default_rng(11)
-    errs = []
-    for target in (0.95, 0.816):
-        exact = visibility_approx(target, n_grid)
-        for _ in range(50):
-            noisy = exact + rng.normal(0.0, 0.01, 12)
-            r = fit_overlap(points_from_arrays(n_grid, noisy, np.full(12, 0.01)))
-            errs.append(r.overlap - target)
-    checks.append(CheckResult("noisy fit RMS error",
-                              float(np.sqrt(np.mean(np.square(errs)))), 0.0, 0.01))
-
-    if include_montecarlo:
-        checks.extend(montecarlo_checks(cfg, mc_seed, note))
-    return checks
+    return max(float(np.max(np.abs(visibility_full(ov, nn, eta, eta)
+                                   - visibility_approx(ov, nn))))
+               for eta in (0.31, 0.42))
 
 
-def montecarlo_checks(cfg, mc_seed=None, note=lambda msg: None):
-    """Estimator-oracle Monte Carlo checks (statistical, seed-pinned)."""
-    checks = []
-    seed = mc_seed if mc_seed is not None else int(cfg["sim"]["seed"])
-    gate_rate = cfgmod.gate_rate_from_config(cfg)
+def _noiseless_fit(inputs):
+    exact = visibility_approx(0.95, FIT_MEAN_N)
+    res = fit_overlap(points_from_arrays(FIT_MEAN_N, exact,
+                                         np.full(FIT_MEAN_N.size, FIT_SIGMA_V)))
+    return abs(res.overlap - 0.95)
 
-    note("estimator consistency matrix (27 cells at 1e6 gates)")
+
+def _estimator_matrix(inputs):
+    """Worst |C/A - (1 + 1/K + 1/n)| in sigma units over 27 cells at 1e6 gates."""
     worst = 0.0
     cell = 0
     for k_modes in ESTIMATOR_MODES:
@@ -175,32 +195,87 @@ def montecarlo_checks(cfg, mc_seed=None, note=lambda msg: None):
             gain = gain_for_mean_n(mean_n, lam)
             for eta in ESTIMATOR_ETA:
                 cell += 1
-                det = DetectionSpec(eta1=eta, eta2=eta, gate_rate=gate_rate)
+                det = DetectionSpec(eta1=eta, eta2=eta, gate_rate=inputs.gate_rate)
                 rec = simulate(SimConfig(source=lam, gain=gain, det=det,
-                                         n_gates=1_000_000, seed=seed + cell))
+                                         n_gates=1_000_000, seed=inputs.seed + cell))
                 est = mean_n_from_cross(rec)
                 expected = 1.0 + 1.0 / k_modes + 1.0 / mean_n
                 sigma = est.cross_correlation * math.sqrt(
                     1.0 / rec.coincidences + 1.0 / rec.singles_signal
                     + 1.0 / rec.singles_idler)
                 worst = max(worst, abs(est.cross_correlation - expected) / sigma)
-    checks.append(CheckResult("worst |C/A - (1 + 1/K + 1/n)| in sigma units",
-                              worst, 0.0, 3.0))
+    return worst
 
-    note("zero-power Klyshko extrapolation")
-    lam = equal_mode_spectrum(20)
-    det = DetectionSpec(eta1=0.060, eta2=0.056, gate_rate=gate_rate)
-    base = SimConfig(source=lam, gain=1.0, det=det, n_gates=20_000_000,
-                     seed=seed + 1000)
-    powers = [gain_for_mean_n(n, lam) ** 2 for n in SWEEP_MEAN_N]
-    points = efficiency_sweep(base, powers)
-    for label, target, vals, sigs in (
-            ("signal", 0.060,
-             [p.corrected_signal for p in points], [p.sigma_signal for p in points]),
-            ("idler", 0.056,
-             [p.corrected_idler for p in points], [p.sigma_idler for p in points])):
-        intercept, _, _ = extrapolate_zero_power(powers, vals, sigs)
-        checks.append(CheckResult(
-            f"extrapolated Klyshko efficiency error, {label} (pp)",
-            abs(intercept - target) * 100.0, 0.0, 0.2))
-    return checks
+
+@dataclass(frozen=True)
+class Criterion:
+    """One acceptance row: value = evaluate(inputs) must lie in [low, high]."""
+
+    name: str
+    low: float
+    high: float
+    evaluate: Callable[[ReportInputs], float]
+    montecarlo: bool = False
+
+    def check(self, inputs) -> CheckResult:
+        return CheckResult(self.name, float(self.evaluate(inputs)), self.low, self.high)
+
+
+# Row order is evaluation order: the grid-doubling row runs before the
+# filtered amplitude and the Schmidt modes are cached, so they do not add to
+# the 4095^2 build's peak memory.
+CRITERIA = (
+    Criterion("phasematching tilt deviation (deg)", 0.4, 0.6,
+              lambda x: pm_tilt_deviation(x.device)),
+    Criterion("unfiltered spectral overlap |O|", 0.24, 0.28,
+              lambda x: x.unfiltered_overlap),
+    Criterion("overlap change under grid doubling", 0.0, 0.003,
+              lambda x: abs(x.doubled_overlap - x.unfiltered_overlap)),
+    Criterion("delay-compensated overlap", 0.74, 0.78, _delay_compensated),
+    Criterion("anti-diagonal linewidth (nm)", 0.5, 0.7,
+              lambda x: x.geometry.linewidth_nm),
+    Criterion("diagonal/anti-diagonal width ratio", 100.0, math.inf,
+              lambda x: jsi_linewidth(x.unfiltered, "diagonal") / x.geometry.linewidth),
+    Criterion("signal marginal width (nm)", 80.0, 100.0, lambda x: x.geometry.signal[0]),
+    Criterion("idler marginal width (nm)", 80.0, 100.0, lambda x: x.geometry.idler[0]),
+    Criterion("signal marginal center (nm)", 1564.0, 1570.0,
+              lambda x: x.geometry.signal[1]),
+    Criterion("idler marginal center (nm)", 1532.0, 1538.0,
+              lambda x: x.geometry.idler[1]),
+    Criterion("12 nm Gaussian overlap", 0.96, 1.0, lambda x: x.filtered_overlap("g12")),
+    Criterion("40 nm flat-top overlap", 0.81, 0.85, lambda x: x.filtered_overlap("sg40")),
+    Criterion("effective mode number K", 10.0, math.inf, lambda x: x.schmidt.mode_number),
+    Criterion("grid vs Schmidt-basis overlap difference", 0.0, 1e-3,
+              lambda x: abs(abs(schmidt_spectral_overlap(x.schmidt))
+                            - x.unfiltered_overlap)),
+    Criterion("balanced full model vs approx (max diff)", 0.0, 1e-12, _balanced_identity),
+    Criterion("visibility at O=0, n=0 (offset from 1/3)", 0.0, 0.0,
+              lambda x: abs(visibility_approx(0.0, 0.0) - 1.0 / 3.0)),
+    Criterion("visibility at O=1, n=0 (offset from 1)", 0.0, 0.0,
+              lambda x: abs(visibility_approx(1.0, 0.0) - 1.0)),
+    Criterion("noiseless fit round-trip error", 0.0, 1e-6, _noiseless_fit),
+    *(row for target in FIT_TARGETS for row in (
+        Criterion(f"noisy fit RMS error at O={target}", 0.0, 0.01,
+                  lambda x, t=target: x.fit_statistics[t][0]),
+        Criterion(f"68% coverage at O={target} (fits of {NOISY_FITS})", 60, 76,
+                  lambda x, t=target: x.fit_statistics[t][1]))),
+    Criterion("worst |C/A - (1 + 1/K + 1/n)| in sigma units", 0.0, 3.0,
+              _estimator_matrix, montecarlo=True),
+    *(Criterion(f"extrapolated Klyshko efficiency error, {arm} (pp)", 0.0, 0.2,
+                lambda x, a=arm: abs(x.sweep_intercepts[a] - SWEEP_ETA[a]) * 100.0,
+                montecarlo=True)
+      for arm in SWEEP_ETA),
+)
+
+
+def run_report(cfg, include_montecarlo=True, progress=None):
+    """Evaluate the CRITERIA rows in order; returns a list of CheckResult."""
+    inputs = ReportInputs(cfg)
+    results = []
+    for criterion in CRITERIA:
+        if criterion.montecarlo and not include_montecarlo:
+            continue
+        if progress is not None:
+            progress(criterion.name)
+        results.append(criterion.check(inputs))
+    return results

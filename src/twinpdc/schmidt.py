@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import ContractError, GridShapeError
+from .errors import ContractError, GridShapeError, RangeError
 from .jsa import JointAmplitude
 
 DEFAULT_RANK_CUTOFF = 1e-6
@@ -185,15 +185,19 @@ def delay_compensated_overlap(jsa: JointAmplitude, tau_range, xatol=1e-4):
 
     The signal axis acquires a phase exp(i nu_s tau); the scalar maximization
     over tau in tau_range (golden section with parabolic refinement) undoes a
-    group-delay mismatch between the twin wavepackets.
+    group-delay mismatch between the twin wavepackets.  A range with lo == hi
+    (zero group-delay mismatch) evaluates the single point tau = lo.
 
     Returns:
         (tau_star, max |O|) with tau in ps.
+
+    Raises:
+        RangeError: if hi < lo (or either end is NaN).
     """
     _require_square(jsa)
     lo, hi = tau_range
-    if not (hi > lo):
-        raise ValueError(f"invalid tau range ({lo}, {hi})")
+    if not hi >= lo:
+        raise RangeError(f"invalid tau range ({lo}, {hi})")
     nu = jsa.grid.axis_signal
     base = jsa.values * np.conj(jsa.values).T  # integrand of O before the tau phase
 

@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from twinpdc import build_jsa, decompose
+from twinpdc import build_jsa
 from twinpdc import config as cfgmod
 from twinpdc.jsa import FrequencyGrid
+from twinpdc.report import ReportInputs
 
 
 @pytest.fixture(scope="session")
@@ -23,28 +24,26 @@ def pump(bundled_config):
 
 
 @pytest.fixture(scope="session")
-def unfiltered_jsa(bundled_config, device, pump):
+def report_inputs(bundled_config):
+    """The report's lazily built artifacts, shared by every test that needs them."""
+    return ReportInputs(bundled_config)
+
+
+@pytest.fixture(scope="session")
+def unfiltered_jsa(report_inputs):
     """Full-resolution unfiltered joint amplitude from the bundled config."""
-    grid = cfgmod.grid_from_config(bundled_config)
-    return build_jsa(device, pump, grid,
-                     cfgmod.approximation_from_config(bundled_config))
+    return report_inputs.unfiltered
 
 
 @pytest.fixture(scope="session")
-def unfiltered_schmidt(unfiltered_jsa):
-    return decompose(unfiltered_jsa)
+def unfiltered_schmidt(report_inputs):
+    return report_inputs.schmidt
 
 
 @pytest.fixture(scope="session")
-def doubling_overlap_pair(bundled_config, device, pump, unfiltered_jsa):
+def doubling_overlap_pair(report_inputs):
     """Unfiltered |O| at the configured resolution and with the step halved."""
-    from twinpdc import spectral_overlap
-
-    grid = cfgmod.grid_from_config(bundled_config)
-    doubled = build_jsa(device, pump,
-                        FrequencyGrid.square(2 * grid.n_s - 1, grid.span_s),
-                        cfgmod.approximation_from_config(bundled_config))
-    return abs(spectral_overlap(unfiltered_jsa)), abs(spectral_overlap(doubled))
+    return report_inputs.unfiltered_overlap, report_inputs.doubled_overlap
 
 
 @pytest.fixture(scope="session")

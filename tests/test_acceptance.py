@@ -1,171 +1,18 @@
-"""Acceptance gate: every headline criterion at its stated tolerance.
+"""Acceptance gate: every row of twinpdc.report.CRITERIA at its stated band.
 
-Each test prints one `ACCEPTANCE <id> ... PASS/FAIL` line (run pytest -s to
-stream them); the assertions carry the same bounds.
+Each item prints one `ACCEPTANCE [PASS|FAIL] ...` line (run pytest -s to
+stream them); `twinpdc report` prints the same rows from the same table.
 """
-import math
+import re
 
-import numpy as np
 import pytest
 
-from twinpdc import (DetectionSpec, FrequencyGrid, SimConfig, apply_filter,
-                     build_jsa, decompose, delay_compensated_overlap,
-                     efficiency_sweep, equal_mode_spectrum, extrapolate_zero_power,
-                     fit_overlap, fwhm, gain_for_mean_n, jsi_linewidth, marginals,
-                     mean_n_from_cross, pm_tilt_deviation, schmidt_spectral_overlap,
-                     simulate, spectral_overlap, visibility_approx, visibility_full)
-from twinpdc import config as cfgmod
-from twinpdc.fit import points_from_arrays
-from twinpdc.units import angular_to_thz, thz_to_wavelength_nm
-
-from conftest import separable_jsa
-from test_schmidt import two_mode_jsa
-
-MC_SEED = 20260809
-GATE_RATE = 76.2e6 / 64
+from twinpdc.report import CRITERIA
 
 
-def check(label, value, lo, hi):
-    ok = lo <= value <= hi
-    print(f"ACCEPTANCE {label}: {value:.6g} in [{lo:g}, {hi:g}] -> "
-          f"{'PASS' if ok else 'FAIL'}")
-    assert ok, f"{label}: {value:.6g} outside [{lo:g}, {hi:g}]"
-
-
-@pytest.fixture(scope="module")
-def filtered_config_jsa(bundled_config, device, pump):
-    grid = cfgmod.grid_from_config(bundled_config, filtered=True)
-    return build_jsa(device, pump, grid,
-                     cfgmod.approximation_from_config(bundled_config))
-
-
-def test_criterion_1_unfiltered_overlap(unfiltered_jsa, doubling_overlap_pair):
-    value = abs(spectral_overlap(unfiltered_jsa))
-    check("1 unfiltered overlap |O|", value, 0.24, 0.28)
-    base, doubled = doubling_overlap_pair
-    check("1 overlap stability under grid doubling", abs(doubled - base),
-          0.0, 0.003)
-
-
-def test_criterion_2_delay_compensated_overlap(device, unfiltered_jsa):
-    span = 3.0 * abs(device.group_delay_ps())
-    _, best = delay_compensated_overlap(unfiltered_jsa, (-span, span))
-    check("2 delay-compensated overlap", best, 0.74, 0.78)
-
-
-def test_criterion_3_filtered_overlaps(bundled_config, device, filtered_config_jsa):
-    g12, _ = apply_filter(filtered_config_jsa,
-                          cfgmod.filter_preset("g12", device, bundled_config))
-    check("3 12 nm Gaussian overlap", abs(spectral_overlap(g12)), 0.96, 1.00)
-    sg40, _ = apply_filter(filtered_config_jsa,
-                           cfgmod.filter_preset("sg40", device, bundled_config))
-    check("3 40 nm super-Gaussian overlap", abs(spectral_overlap(sg40)), 0.81, 0.85)
-
-
-def test_criterion_4_jsi_geometry(device, unfiltered_jsa):
-    lam_deg = device.degeneracy_wavelength_nm
-    width = jsi_linewidth(unfiltered_jsa, "antidiagonal")
-    width_nm = angular_to_thz(width) * lam_deg**2 / 299792.458
-    check("4 anti-diagonal linewidth (nm)", width_nm, 0.5, 0.7)
-
-    f_deg = angular_to_thz(device.pump_center) / 2.0
-    sig, idl = marginals(unfiltered_jsa)
-    results = {}
-    for name, axis, dens in (("signal", unfiltered_jsa.grid.axis_signal, sig),
-                             ("idler", unfiltered_jsa.grid.axis_idler, idl)):
-        w, c = fwhm(axis, dens)
-        lam_lo = thz_to_wavelength_nm(f_deg + angular_to_thz(c - w / 2))
-        lam_hi = thz_to_wavelength_nm(f_deg + angular_to_thz(c + w / 2))
-        results[name] = (lam_lo - lam_hi, thz_to_wavelength_nm(f_deg + angular_to_thz(c)))
-    check("4 signal marginal width (nm)", results["signal"][0], 80.0, 100.0)
-    check("4 idler marginal width (nm)", results["idler"][0], 80.0, 100.0)
-    check("4 signal marginal center (nm)", results["signal"][1], 1564.0, 1570.0)
-    check("4 idler marginal center (nm)", results["idler"][1], 1532.0, 1538.0)
-    check("4 phasematching tilt deviation (deg)", pm_tilt_deviation(device),
-          0.4, 0.6)
-
-
-def test_criterion_5_visibility_identities():
-    ov, nn = np.meshgrid(np.linspace(0.0, 1.0, 100), np.linspace(0.0, 2.0, 100))
-    worst = float(np.max(np.abs(visibility_full(ov, nn, 0.42, 0.42)
-                                - visibility_approx(ov, nn))))
-    check("5 balanced identity max deviation (100x100 grid)", worst, 0.0, 1e-12)
-    check("5 endpoint V(O=0, n=0) offset from 1/3",
-          abs(visibility_approx(0.0, 0.0) - 1.0 / 3.0), 0.0, 0.0)
-    check("5 endpoint V(O=1, n=0) offset from 1",
-          abs(visibility_approx(1.0, 0.0) - 1.0), 0.0, 0.0)
-
-
-def test_criterion_6_estimator_matrix():
-    worst = 0.0
-    cell = 0
-    for k_modes in (1, 4, 20):
-        lam = equal_mode_spectrum(k_modes)
-        for mean_n in (0.1, 0.25, 0.5):
-            gain = gain_for_mean_n(mean_n, lam)
-            for eta in (0.02, 0.03, 0.04):
-                cell += 1
-                rec = simulate(SimConfig(
-                    source=lam, gain=gain,
-                    det=DetectionSpec(eta1=eta, eta2=eta, gate_rate=GATE_RATE),
-                    n_gates=1_000_000, seed=MC_SEED + cell))
-                est = mean_n_from_cross(rec)
-                expected = 1.0 + 1.0 / k_modes + 1.0 / mean_n
-                sigma = est.cross_correlation * math.sqrt(
-                    1.0 / rec.coincidences + 1.0 / rec.singles_signal
-                    + 1.0 / rec.singles_idler)
-                worst = max(worst, abs(est.cross_correlation - expected) / sigma)
-    check("6 worst C/A deviation from 1 + 1/K + 1/n (sigma units, 27 cells)",
-          worst, 0.0, 3.0)
-
-
-def test_criterion_6_klyshko_extrapolation():
-    lam = equal_mode_spectrum(20)
-    det = DetectionSpec(eta1=0.060, eta2=0.056, gate_rate=GATE_RATE)
-    base = SimConfig(source=lam, gain=1.0, det=det, n_gates=20_000_000,
-                     seed=MC_SEED + 1000)
-    powers = [gain_for_mean_n(n, lam) ** 2 for n in (0.05, 0.1, 0.15, 0.2, 0.3, 0.4)]
-    points = efficiency_sweep(base, powers)
-    for label, target, vals, sigs in (
-            ("signal", 0.060, [p.corrected_signal for p in points],
-             [p.sigma_signal for p in points]),
-            ("idler", 0.056, [p.corrected_idler for p in points],
-             [p.sigma_idler for p in points])):
-        intercept, _, _ = extrapolate_zero_power(powers, vals, sigs)
-        check(f"6 zero-power Klyshko error, {label} arm (pp)",
-              abs(intercept - target) * 100.0, 0.0, 0.2)
-
-
-def test_criterion_7_fit_round_trips():
-    n_grid = np.linspace(0.05, 0.5, 12)
-    res = fit_overlap(points_from_arrays(n_grid, visibility_approx(0.95, n_grid),
-                                         np.full(12, 0.01)))
-    check("7 noiseless fit round-trip |error|", abs(res.overlap - 0.95), 0.0, 1e-6)
-
-    rng = np.random.default_rng(MC_SEED)
-    for target in (0.95, 0.816):
-        errors, covered = [], 0
-        exact = visibility_approx(target, n_grid)
-        for _ in range(100):
-            noisy = exact + rng.normal(0.0, 0.01, 12)
-            r = fit_overlap(points_from_arrays(n_grid, noisy, np.full(12, 0.01)))
-            errors.append(r.overlap - target)
-            if abs(r.overlap - target) <= r.sigma:
-                covered += 1
-        check(f"7 noisy fit RMS error at O={target}",
-              float(np.sqrt(np.mean(np.square(errors)))), 0.0, 0.01)
-        check(f"7 68%-coverage at O={target} (%)", covered, 60, 76)
-
-
-def test_criterion_8_schmidt_properties(unfiltered_jsa, unfiltered_schmidt):
-    check("8 separable input mode number K", decompose(separable_jsa()).mode_number,
-          1.0 - 1e-6, 1.0 + 1e-6)
-    check("8 two-term (0.8, 0.2) mode number K",
-          decompose(two_mode_jsa()).mode_number,
-          1.4705882352941178 - 1e-4, 1.4705882352941178 + 1e-4)
-    check("8 unfiltered device mode number K", unfiltered_schmidt.mode_number,
-          10.0, math.inf)
-    direct = abs(spectral_overlap(unfiltered_jsa))
-    basis = abs(schmidt_spectral_overlap(unfiltered_schmidt))
-    check("8 grid vs Schmidt-basis overlap difference", abs(direct - basis),
-          0.0, 1e-3)
+@pytest.mark.parametrize("criterion", CRITERIA,
+                         ids=[re.sub(r"\W+", "_", c.name).strip("_") for c in CRITERIA])
+def test_criterion(criterion, report_inputs):
+    result = criterion.check(report_inputs)
+    print(f"ACCEPTANCE {result.line()}")
+    assert result.passed, result.line()

@@ -178,6 +178,16 @@ def test_cli_overlap_report(capsys):
     assert "spectral overlap |O| = 0.2" in out
 
 
+def test_cli_delay_compensation_with_zero_group_delay(tmp_path, capsys):
+    text = MINIMAL.replace("vg_i = 90.4", "vg_i = 90.1") + (
+        "\n[grid]\npoints = 1024\nspan_thz = 3.0\n")
+    code = main(["overlap", "--compensate-delay", "--config", write_cfg(tmp_path, text)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    plain = lines[0].split("= ")[1].split()[0]
+    assert lines[-1].startswith(f"delay-compensated overlap = {plain} at tau = ")
+
+
 def test_cli_visibility_curve(tmp_path, capsys):
     code = main(["visibility", "--overlap", "0", "--mean-n", "0:0:1",
                  "--out", str(tmp_path)])
@@ -216,6 +226,28 @@ def test_cli_fit_round_trip(tmp_path, capsys):
     assert "overlap,0.95" in report
 
 
+def test_cli_fit_full_model_header(tmp_path, capsys):
+    from twinpdc import visibility_full
+    from twinpdc.fit import points_from_arrays
+    from twinpdc.twinstats import write_visibility_points
+
+    grid = np.linspace(0.05, 0.5, 10)
+    pts = points_from_arrays(grid, visibility_full(0.9, grid, 1.25, 1.0),
+                             np.full(10, 0.01))
+    path = str(tmp_path / "points.csv")
+    write_visibility_points(path, pts)
+    code = main(["fit", path, "--model", "full", "--eta-ratio", "1.25",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert "0.9000" in capsys.readouterr().out
+    header = [line for line in (tmp_path / "fit_report.csv").read_text().splitlines()
+              if line.startswith("#")]
+    assert header[0] == ("# twinpdc fit: V = ([1+O] + n(1 - (e1/e2 + e2/e1)/2)) / "
+                         "([3-O] + 3n + n(e1/e2 + e2/e1)/2) weighted least squares")
+    assert "# eta_ratio,1.25" in header
+    assert "# overlap,0.9" in header
+
+
 def test_cli_fit_illposed_exit_code(tmp_path):
     from twinpdc.twinstats import VisibilityPoint, write_visibility_points
 
@@ -234,3 +266,32 @@ def test_cli_schmidt_spectrum(tmp_path, capsys):
     assert rows[0] == ["k", "coefficient"]
     lam0 = float(rows[1][1])
     assert 0.0 < lam0 <= 1.0
+
+
+@pytest.fixture
+def two_row_table(monkeypatch):
+    """Replace the acceptance table with one passing and one failing row."""
+    from twinpdc import report
+    from twinpdc.report import Criterion
+
+    monkeypatch.setattr(report, "CRITERIA", (
+        Criterion("always one", 0.0, 2.0, lambda inputs: 1.0),
+        Criterion("always five, tagged", 0.0, 2.0, lambda inputs: 5.0,
+                  montecarlo=True),
+    ))
+
+
+def test_cli_report_prints_each_row_and_fails_on_any(two_row_table, capsys):
+    from twinpdc.cli import EXIT_NUMERIC
+
+    assert main(["report"]) == EXIT_NUMERIC
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["[PASS] always one: 1 (allowed 0 .. 2)",
+                     "[FAIL] always five, tagged: 5 (allowed 0 .. 2)",
+                     "1/2 checks passed"]
+
+
+def test_cli_report_skip_montecarlo_drops_tagged_rows(two_row_table, capsys):
+    assert main(["report", "--skip-montecarlo"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["[PASS] always one: 1 (allowed 0 .. 2)", "1/1 checks passed"]

@@ -10,7 +10,7 @@ from twinpdc import (FilterSpec, FrequencyGrid, PumpSpec, apply_filter, build_js
                      device_spec, fwhm, jsi_linewidth, marginals, pm_function,
                      pump_envelope)
 from twinpdc.dispersion import delta_k
-from twinpdc.errors import ConfigError, RangeError, ResolutionError
+from twinpdc.errors import ConfigError, ContractError, RangeError, ResolutionError
 from twinpdc.jsa import JointAmplitude, dump_grid, load_grid
 from twinpdc.units import angular_to_thz, bandwidth_nm_to_angular
 
@@ -204,6 +204,13 @@ def test_supergaussian_amplitude_fwhm_convention():
         # intensity = amplitude^2 falls to 1/2 exactly at +- bandwidth/2
         assert filt.amplitude(1.0) ** 2 == pytest.approx(0.5, rel=1e-12)
         assert filt.amplitude(-1.0) ** 2 == pytest.approx(0.5, rel=1e-12)
+
+
+def test_filter_rejects_amplitude_marked_normalized_but_not():
+    jsa = separable_jsa()
+    bad = JointAmplitude(grid=jsa.grid, values=2.0 * jsa.values, normalized=True)
+    with pytest.raises(ContractError, match="normalization off"):
+        apply_filter(bad, FilterSpec(shape="gaussian", bandwidth=1.0))
 
 
 def test_too_narrow_filter_rejected():

@@ -8,7 +8,7 @@ from twinpdc import (FrequencyGrid, GainSpec, JointAmplitude, SchmidtData, apply
                      decompose, delay_compensated_overlap, density_overlap,
                      gain_for_mean_n, schmidt_density_overlap,
                      schmidt_spectral_overlap, spectral_overlap)
-from twinpdc.errors import ContractError, GridShapeError
+from twinpdc.errors import ContractError, GridShapeError, RangeError
 
 from conftest import gaussian_mode, separable_jsa
 
@@ -152,8 +152,8 @@ def test_bundled_device_delay_compensated_overlap(device, unfiltered_jsa):
 
 
 def test_delay_invalid_range():
-    with pytest.raises(ValueError):
-        delay_compensated_overlap(two_mode_jsa(), (0.5, 0.5))
+    with pytest.raises(RangeError):
+        delay_compensated_overlap(two_mode_jsa(), (0.5, 0.4))
 
 
 # --- density overlap -----------------------------------------------------------
@@ -210,11 +210,11 @@ def test_overlap_truncation_bound(unfiltered_jsa):
         assert abs(full - truncated) <= 2.0 * max(rho, 1e-12)
 
 
-def test_mode_number_invariant_under_axis_swap(unfiltered_jsa):
+def test_mode_number_invariant_under_axis_swap(unfiltered_jsa, unfiltered_schmidt):
     swapped = JointAmplitude(grid=unfiltered_jsa.grid,
                              values=unfiltered_jsa.values.T.copy(),
                              normalized=True)
-    k1 = decompose(unfiltered_jsa).mode_number
+    k1 = unfiltered_schmidt.mode_number
     k2 = decompose(swapped).mode_number
     assert k1 == pytest.approx(k2, rel=1e-9)
 
