@@ -146,6 +146,8 @@ def cmd_jsa(args):
     jsa_obj, transmitted = _built_jsa(cfg, device, args, filtered=args.filter != "none")
     sig, idl = marginals(jsa_obj)
     tilt = pm_tilt_deviation(device)
+    # a span too narrow for the marginals fails here, before any file is written
+    geo = jsi_geometry(device, jsa_obj)
 
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "marginals.csv")
@@ -159,7 +161,6 @@ def cmd_jsa(args):
     if args.dump:
         dump_grid(jsa_obj, args.dump, header_lines=["twinpdc jsa grid dump"])
 
-    geo = jsi_geometry(device, jsa_obj)
     print(f"anti-diagonal linewidth: {geo.linewidth:.4f} rad/ps "
           f"({geo.linewidth_nm:.3f} nm)")
     print(f"phasematching tilt deviation: {tilt:.3f} deg")

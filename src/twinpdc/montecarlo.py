@@ -6,13 +6,13 @@ share the pair number exactly.  Each arm is thinned binomially by its
 end-to-end transmission and hits a threshold (click/no-click) detector, with
 an independent per-gate dark firing probability.
 
-Because the detectors resolve no photon numbers and a record keeps only click
-counts, two exact draws replace the gate-by-gate history: a multinomial of the
-gates over the distribution of the per-gate pair total (the convolution of
-the per-mode geometric distributions), then, for each total, a multinomial
-over the four click outcomes.  The cost does not depend on the number of
-gates, and one counter-based RNG stream keyed by the seed makes every run
-bit-reproducible.
+The gates are independent and a record keeps only click counts, so the four
+per-gate outcomes (both click, signal only, idler only, neither) are exactly
+multinomially distributed over the gates.  Their probabilities are closed-form
+products over every mode (Quesada, Arrazola & Killoran, PRA 98, 062322
+(2018)), so one multinomial draw replaces the gate-by-gate history: the cost
+does not depend on the number of gates, and one counter-based RNG stream
+keyed by the seed makes every run bit-reproducible.
 """
 import math
 import warnings
@@ -25,7 +25,6 @@ from .schmidt import SchmidtData
 from .twinstats import (CountRecord, DetectionSpec, klyshko, mean_n_from_cross)
 
 SATURATION_MEAN = 0.9
-PMF_TAIL_WEIGHT = 1e-17
 
 
 def equal_mode_spectrum(n_modes: int) -> np.ndarray:
@@ -78,30 +77,30 @@ def mode_means(cfg: SimConfig) -> np.ndarray:
     return np.sinh(cfg.gain * cfg.coefficients) ** 2
 
 
-def _total_pmf(means) -> np.ndarray:
-    """Distribution of the per-gate pair total, a sum of geometric variables.
+def _outcome_probabilities(means, det: DetectionSpec) -> np.ndarray:
+    """Per-gate probabilities of (both click, signal only, idler only, neither).
 
-    The per-mode pmfs (1 - q_k) q_k^n with q_k = m_k / (1 + m_k) are convolved
-    on a support whose Chernoff tail bound is below 1e-20; the result is cut
-    where the remaining tail weight falls below PMF_TAIL_WEIGHT and
-    renormalized.
+    A thermal pair number of mean m shared by the arms has E[x^n] = 1 / (1 + m (1 - x)),
+    so an arm of transmission eta and dark probability d stays quiet with
+    probability (1 - d) prod_k 1 / (1 + m_k eta), and, given a quiet partner arm of
+    transmission eta', with (1 - d) prod_k 1 / (1 + m_k eta (1 - eta') / (1 + m_k eta')).
+    Every outcome is a product of nonnegative factors formed in log space with
+    log1p/expm1, so tiny probabilities keep their relative precision and none is
+    negative in floating point.
     """
-    q = means / (1.0 + means)
-    q_max = q.max(initial=0.0)
-    length = 1
-    if q_max > 0.0:
-        # P(total >= n) <= E[z^total] / z^n, evaluated at z = q_max^(-1/2)
-        log_z = -0.5 * math.log(q_max)
-        log_mgf = float(np.sum(np.log1p(-q) - np.log1p(-q * math.exp(log_z))))
-        length = math.ceil((log_mgf - math.log(1e-20)) / log_z)
-    pmf = np.zeros(length)
-    pmf[0] = 1.0
-    n = np.arange(length)
-    for qk in q:
-        pmf = np.convolve(pmf, (1.0 - qk) * qk**n)[:length]
-    tail = np.cumsum(pmf[::-1])[::-1]
-    pmf = pmf[:np.count_nonzero(tail >= PMF_TAIL_WEIGHT)]
-    return pmf / pmf.sum()
+    def log_quiet(eta, dark, partner_eta=0.0):
+        thinned = means * eta * (1.0 - partner_eta) / (1.0 + means * partner_eta)
+        return math.log1p(-dark) - float(np.sum(np.log1p(thinned)))
+
+    log_s, log_i = log_quiet(det.eta1, det.dark_prob1), log_quiet(det.eta2, det.dark_prob2)
+    log_s_given_i = log_quiet(det.eta1, det.dark_prob1, det.eta2)
+    log_i_given_s = log_quiet(det.eta2, det.dark_prob2, det.eta1)
+    quiet_s, quiet_i = math.exp(log_s), math.exp(log_i)
+    # P(both) = p_s p_i + (q_both - q_s q_i), and q_both / (q_s q_i) = exp(log_s_given_i - log_s)
+    both = (math.expm1(log_s) * math.expm1(log_i)
+            + quiet_s * quiet_i * math.expm1(log_s_given_i - log_s))
+    return np.array([both, -quiet_i * math.expm1(log_s_given_i),
+                     -quiet_s * math.expm1(log_i_given_s), quiet_i * math.exp(log_s_given_i)])
 
 
 def simulate(cfg: SimConfig) -> CountRecord:
@@ -119,16 +118,8 @@ def simulate(cfg: SimConfig) -> CountRecord:
         )
     rng = np.random.Generator(np.random.Philox(
         key=np.array([cfg.seed % 2**64, 0], dtype=np.uint64)))
-    pmf = _total_pmf(means)
-    gates_per_total = rng.multinomial(cfg.n_gates, pmf)
-    totals = np.arange(pmf.size)
-    det = cfg.det
-    quiet_s = (1.0 - det.eta1) ** totals * (1.0 - det.dark_prob1)
-    quiet_i = (1.0 - det.eta2) ** totals * (1.0 - det.dark_prob2)
-    # outcomes per total: both click, signal only, idler only, neither
-    outcomes = np.stack([(1.0 - quiet_s) * (1.0 - quiet_i), (1.0 - quiet_s) * quiet_i,
-                         quiet_s * (1.0 - quiet_i), quiet_s * quiet_i], axis=1)
-    both, signal_only, idler_only, _ = rng.multinomial(gates_per_total, outcomes).sum(axis=0)
+    both, signal_only, idler_only, _ = rng.multinomial(
+        cfg.n_gates, _outcome_probabilities(means, cfg.det))
     return CountRecord(gates=cfg.n_gates, singles_signal=int(both + signal_only),
                        singles_idler=int(both + idler_only), coincidences=int(both),
                        gate_rate=cfg.gate_rate)
@@ -137,17 +128,12 @@ def simulate(cfg: SimConfig) -> CountRecord:
 def exact_click_probabilities(lambdas, gain, det: DetectionSpec):
     """Closed-form per-gate click probabilities (p_signal, p_idler, p_coincidence).
 
-    For thermal pair number n_k of mean m_k shared by the arms, the no-click
-    generating function gives E[x^n_k] = 1 / (1 + m_k (1 - x)) per mode, so
-    the exact threshold-detector probabilities follow from products over
-    modes.  Serves as an independent check on the sampler.
+    The same outcome probabilities the sampler draws from, products over every
+    mode with no truncation.
     """
     m = np.sinh(gain * np.asarray(lambdas, dtype=float)) ** 2
-    quiet_s = np.prod(1.0 / (1.0 + m * det.eta1)) * (1.0 - det.dark_prob1)
-    quiet_i = np.prod(1.0 / (1.0 + m * det.eta2)) * (1.0 - det.dark_prob2)
-    both = det.eta1 + det.eta2 - det.eta1 * det.eta2
-    quiet_both = np.prod(1.0 / (1.0 + m * both)) * (1.0 - det.dark_prob1) * (1.0 - det.dark_prob2)
-    return (1.0 - quiet_s, 1.0 - quiet_i, 1.0 - quiet_s - quiet_i + quiet_both)
+    both, signal_only, idler_only, _ = _outcome_probabilities(m, det)
+    return (float(both + signal_only), float(both + idler_only), float(both))
 
 
 @dataclass(frozen=True)

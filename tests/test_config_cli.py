@@ -157,11 +157,21 @@ def test_cli_jsa_dump_roundtrip(tmp_path):
 
 
 def test_cli_jsa_dump_missing_dir_exit_code(tmp_path, capsys):
-    code = main(["jsa", "--grid", "512,4.0", "--out", str(tmp_path),
+    code = main(["jsa", "--grid", "1536,12.0", "--out", str(tmp_path),
                  "--dump", str(tmp_path / "missing" / "grid.txt")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_jsa_narrow_span_writes_nothing(tmp_path, capsys):
+    """A span narrower than the marginals exits 3 before any output is written."""
+    out = tmp_path / "out"
+    dump = tmp_path / "grid.txt"
+    code = main(["jsa", "--grid", "512,4.0", "--out", str(out), "--dump", str(dump)])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists() and not dump.exists()
 
 
 def test_cli_fit_missing_input_exit_code(tmp_path, capsys):

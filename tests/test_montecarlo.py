@@ -3,13 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from twinpdc import (DetectionSpec, SimConfig, efficiency_sweep, equal_mode_spectrum,
                      exact_click_probabilities, extrapolate_zero_power,
                      gain_for_mean_n, klyshko, mean_n_from_cross, simulate)
 from twinpdc.errors import ConfigError
-from twinpdc.montecarlo import _total_pmf
 
 GATE_RATE = 76.2e6 / 64
 
@@ -122,25 +120,6 @@ def test_counts_sampler_matches_per_gate_reference():
         assert abs(a - b) < 5 * math.sqrt(a + b)
 
 
-@pytest.mark.parametrize("means", [np.array([0.3, 0.1, 0.02, 1e-6]),
-                                   np.linspace(0.5, 0.01, 40)])
-def test_total_pmf_moments(means):
-    pmf = _total_pmf(means)
-    n = np.arange(pmf.size)
-    mean = np.sum(n * pmf)
-    assert pmf.sum() == pytest.approx(1.0, abs=1e-15)
-    assert mean == pytest.approx(means.sum(), rel=1e-12)
-    assert np.sum((n - mean) ** 2 * pmf) == pytest.approx(
-        np.sum(means * (1 + means)), rel=1e-12)
-
-
-@pytest.mark.parametrize("k, m", [(1, 0.9), (6, 0.1), (20, 0.025)])
-def test_total_pmf_equal_means_is_negative_binomial(k, m):
-    pmf = _total_pmf(np.full(k, m))
-    expected = stats.nbinom(k, 1.0 / (1.0 + m)).pmf(np.arange(pmf.size))
-    np.testing.assert_allclose(pmf, expected, rtol=0, atol=1e-12)
-
-
 def test_cost_is_independent_of_gates_and_no_mode_is_dropped():
     """10^11 gates on 300 unequal modes land on the closed form over the full spectrum.
 
@@ -171,6 +150,17 @@ def test_arm_symmetry_under_eta_swap():
         straight.singles_signal)
     assert abs(straight.singles_idler - swapped.singles_signal) < 5 * math.sqrt(
         swapped.singles_signal)
+
+
+def test_exact_click_probabilities_keep_precision_at_tiny_means():
+    """At a total mean of 5e-12 the probabilities are first order in the means."""
+    lam = equal_mode_spectrum(5)
+    total = 5e-12
+    gain = math.asinh(math.sqrt(total / 5)) * math.sqrt(5)
+    p_s, p_i, p_c = exact_click_probabilities(lam, gain, det(eta1=0.05, eta2=0.04))
+    assert p_s == pytest.approx(total * 0.05, rel=1e-6, abs=0)
+    assert p_i == pytest.approx(total * 0.04, rel=1e-6, abs=0)
+    assert p_c == pytest.approx(total * 0.05 * 0.04, rel=1e-6, abs=0)
 
 
 def test_doubling_transmissions_doubles_singles_scales_coincidences():

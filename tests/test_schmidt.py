@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twinpdc import (FrequencyGrid, GainSpec, JointAmplitude, SchmidtData, apply_filter,
                      decompose, delay_compensated_overlap, density_overlap,
@@ -217,6 +219,34 @@ def test_mode_number_invariant_under_axis_swap(unfiltered_jsa, unfiltered_schmid
     k1 = unfiltered_schmidt.mode_number
     k2 = decompose(swapped).mode_number
     assert k1 == pytest.approx(k2, rel=1e-9)
+
+
+# --- properties on small random grids --------------------------------------------
+
+@st.composite
+def small_square_jsa(draw):
+    """Normalized complex amplitude on a random square grid of 2..6 points per axis."""
+    n = draw(st.integers(2, 6))
+    parts = st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=n * n,
+                     max_size=n * n)
+    values = (np.array(draw(parts)) + 1j * np.array(draw(parts))).reshape(n, n)
+    weight = np.sum(np.abs(values) ** 2)
+    assume(weight > 1e-6)
+    grid = FrequencyGrid.square(n, draw(st.floats(1e-3, 1e3)))
+    values = values / math.sqrt(weight * grid.step_signal * grid.step_idler)
+    return JointAmplitude(grid=grid, values=values, normalized=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(jsa=small_square_jsa(), phase=st.floats(-math.pi, math.pi))
+def test_overlap_functional_bounds_and_mode_number_invariance(jsa, phase):
+    """|O| <= 1, A <= 1/K, and K is unchanged by the axis swap and a global phase."""
+    k = decompose(jsa).mode_number
+    assert abs(spectral_overlap(jsa)) <= 1.0 + 1e-12
+    assert density_overlap(jsa) <= 1.0 / k + 1e-9
+    for values in (jsa.values.T.copy(), jsa.values * np.exp(1j * phase)):
+        other = JointAmplitude(grid=jsa.grid, values=values, normalized=True)
+        assert decompose(other).mode_number == pytest.approx(k, rel=1e-9)
 
 
 # --- gain bookkeeping -----------------------------------------------------------
