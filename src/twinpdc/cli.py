@@ -20,7 +20,7 @@ from .errors import (ConfigError, ContractError, FitConvergenceError, GridShapeE
                      IllPosedError, NonPhysicalCorrelationError, RangeError,
                      ResolutionError, TwinPdcError)
 from .fit import fit_overlap
-from .jsa import apply_filter, build_jsa, dump_grid, marginals
+from .jsa import apply_filter, build_jsa, dump_grid
 from .montecarlo import (efficiency_sweep, extrapolate_zero_power, simulate)
 from .report import jsi_geometry, run_report
 from .schmidt import (decompose, delay_compensated_overlap, spectral_overlap)
@@ -144,10 +144,10 @@ def _built_jsa(cfg, device, args, filtered):
 def cmd_jsa(args):
     cfg, device = _load(args)
     jsa_obj, transmitted = _built_jsa(cfg, device, args, filtered=args.filter != "none")
-    sig, idl = marginals(jsa_obj)
     tilt = pm_tilt_deviation(device)
     # a span too narrow for the marginals fails here, before any file is written
     geo = jsi_geometry(device, jsa_obj)
+    sig, idl = geo.marginals
 
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "marginals.csv")

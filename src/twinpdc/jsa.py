@@ -304,15 +304,14 @@ def jsi_linewidth(jsa: JointAmplitude, axis="antidiagonal") -> float:
     if not jsa.grid.is_square:
         raise GridShapeError("linewidth cuts require a square grid")
     n = jsa.grid.n_s
-    inten = jsa.intensity()
     if axis == "antidiagonal":
-        profile = np.diagonal(inten)
+        cut = np.diagonal(jsa.values)
     elif axis == "diagonal":
-        profile = inten[np.arange(n), n - 1 - np.arange(n)]
+        cut = jsa.values[np.arange(n), n - 1 - np.arange(n)]
     else:
         raise ConfigError(f"unknown cut axis {axis!r}")
     t = jsa.grid.axis_signal * math.sqrt(2.0)
-    width, _ = fwhm(t, profile)
+    width, _ = fwhm(t, np.abs(cut) ** 2)
     return width
 
 

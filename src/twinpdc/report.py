@@ -8,7 +8,7 @@ round trips and the estimator Monte Carlo.  The `report` CLI command walks
 the table and the acceptance tests parametrize over it.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -56,12 +56,13 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class JsiGeometry:
-    """Anti-diagonal JSI linewidth and the (width, center) of each marginal."""
+    """Anti-diagonal JSI linewidth and each marginal density with its (width, center)."""
 
     linewidth: float        # rad/ps
     linewidth_nm: float
     signal: tuple           # (FWHM nm, center nm)
     idler: tuple
+    marginals: tuple = field(repr=False, compare=False)  # (signal, idler) densities
 
 
 def jsi_geometry(device, jsa_obj) -> JsiGeometry:
@@ -77,7 +78,7 @@ def jsi_geometry(device, jsa_obj) -> JsiGeometry:
         bands.append((thz_to_wavelength_nm(f_lo) - thz_to_wavelength_nm(f_hi),
                       thz_to_wavelength_nm(f_deg + angular_to_thz(center))))
     return JsiGeometry(lw, angular_bandwidth_to_nm(lw, device.degeneracy_wavelength_nm),
-                       *bands)
+                       *bands, (sig, idl))
 
 
 class ReportInputs:

@@ -31,9 +31,16 @@ def two_mode_jsa(weights=(math.sqrt(0.8), math.sqrt(0.2)), n=256, span=6.0):
 
 
 def swapped_overlap_reference(jsa):
-    """Direct dense evaluation of the overlap integral (independent of blocks)."""
+    """Direct dense evaluation of the overlap integral (independent of the lag sums)."""
     f = jsa.values
     return np.sum(f * np.conj(f.T)) * jsa.cell_area
+
+
+def delayed_overlap_reference(jsa, tau):
+    """Dense |O(tau)|: the n^2 integrand with the signal phase exp(i nu_s tau)."""
+    phase = np.exp(1j * jsa.grid.axis_signal * tau)
+    base = jsa.values * np.conj(jsa.values).T
+    return abs(np.sum(base * phase[:, None] * np.conj(phase)[None, :])) * jsa.cell_area
 
 
 # --- decompose ---------------------------------------------------------------
@@ -89,7 +96,7 @@ def test_swap_symmetric_overlap_is_one():
     assert abs(val) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_overlap_blockwise_equals_dense(unfiltered_jsa):
+def test_overlap_lag_sums_equal_dense(unfiltered_jsa):
     dense = swapped_overlap_reference(unfiltered_jsa)
     assert spectral_overlap(unfiltered_jsa) == pytest.approx(dense, abs=1e-12)
 
@@ -154,8 +161,25 @@ def test_bundled_device_delay_compensated_overlap(device, unfiltered_jsa):
 
 
 def test_delay_invalid_range():
-    with pytest.raises(RangeError):
-        delay_compensated_overlap(two_mode_jsa(), (0.5, 0.4))
+    for tau_range in ((0.5, 0.4), (math.nan, 0.5), (-math.inf, 0.5), (0.0, math.inf)):
+        with pytest.raises(RangeError):
+            delay_compensated_overlap(two_mode_jsa(), tau_range)
+
+
+def test_delay_search_is_global_over_two_delays():
+    """Two delayed signal components: local peak 0.36 at tau = -1, global 0.64 at tau = 3."""
+    grid = FrequencyGrid.square(256, 6.0)
+    nu = grid.axis_signal
+    g = np.exp(-((nu / 2.0) ** 2))
+    values = np.outer(g * (0.6 * np.exp(1j * nu * 1.0) + 0.8 * np.exp(-1j * nu * 3.0)), g)
+    values /= math.sqrt(np.sum(np.abs(values) ** 2) * grid.step_signal * grid.step_idler)
+    jsa = JointAmplitude(grid=grid, values=values, normalized=True)
+    tau, best = delay_compensated_overlap(jsa, (-5.0, 5.0))
+    assert tau == pytest.approx(3.0, abs=0.01)
+    assert best >= 0.639
+    assert best == pytest.approx(delayed_overlap_reference(jsa, tau), abs=1e-12)
+    dense = [delayed_overlap_reference(jsa, t) for t in np.linspace(-5.0, 5.0, 1001)]
+    assert max(dense) <= best + 1e-12
 
 
 # --- density overlap -----------------------------------------------------------
@@ -238,11 +262,14 @@ def small_square_jsa(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(jsa=small_square_jsa(), phase=st.floats(-math.pi, math.pi))
-def test_overlap_functional_bounds_and_mode_number_invariance(jsa, phase):
-    """|O| <= 1, A <= 1/K, and K is unchanged by the axis swap and a global phase."""
+@given(jsa=small_square_jsa(), phase=st.floats(-math.pi, math.pi),
+       lo=st.floats(-10.0, 0.0), hi=st.floats(0.0, 10.0))
+def test_overlap_functional_bounds_and_mode_number_invariance(jsa, phase, lo, hi):
+    """|O| <= 1, delay compensation over a range holding 0 reaches |O(0)|, A <= 1/K,
+    and K is unchanged by the axis swap and a global phase."""
     k = decompose(jsa).mode_number
     assert abs(spectral_overlap(jsa)) <= 1.0 + 1e-12
+    assert delay_compensated_overlap(jsa, (lo, hi))[1] >= abs(spectral_overlap(jsa)) - 1e-12
     assert density_overlap(jsa) <= 1.0 / k + 1e-9
     for values in (jsa.values.T.copy(), jsa.values * np.exp(1j * phase)):
         other = JointAmplitude(grid=jsa.grid, values=values, normalized=True)
