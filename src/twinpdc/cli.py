@@ -176,7 +176,7 @@ def cmd_overlap(args):
     cfg, device = _load(args)
     jsa_obj, transmitted = _built_jsa(cfg, device, args, filtered=args.filter != "none")
     value = spectral_overlap(jsa_obj)
-    print(f"spectral overlap |O| = {abs(value):.4f} (phase {np.angle(value):+.4f} rad)")
+    print(f"spectral overlap |O| = {abs(value):.4f} (O = {value:+.4f})")
     if transmitted is not None:
         print(f"filter transmitted fraction: {transmitted:.4f}")
     if args.compensate_delay:

@@ -7,7 +7,9 @@ The normalized complex amplitude of a photon pair is assembled as
 with a Gaussian pump envelope exp(-(nu_s + nu_i)^2 / sigma^2), a
 phasematching factor sinc(L dk / 2) exp(i L dk / 2) (or its Gaussian
 approximation exp(-gamma L^2 dk^2 / 4) with the same phase), and N fixed by
-the discrete normalization sum |f|^2 dnu_s dnu_i = 1.
+the discrete normalization sum |f|^2 dnu_s dnu_i = 1.  build_jsa fills one
+preallocated array in row tiles of about TILE_CELLS cells, so its peak memory
+stays near the size of the result.
 
 Everything operates on detunings from the mode carriers; absolute axes are
 reconstructed only for display.  All transforms are pure and return new
@@ -31,6 +33,9 @@ MIN_POINTS_PER_WIDTH = 8
 
 # half-max factor for sinc^2: sinc(x)^2 = 1/2 at x = X_HALF_SINC_SQ
 X_HALF_SINC_SQ = 1.3915573
+
+# grid cells per row tile of build_jsa: the tile temporaries stay a few MiB
+TILE_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -221,10 +226,20 @@ def build_jsa(spec: DeviceSpec, pump: PumpSpec, grid: FrequencyGrid,
             f"({narrow:.4g} rad/ps) with {narrow / step:.1f} < "
             f"{MIN_POINTS_PER_WIDTH} points; refine the grid or shrink the span"
         )
-    nu_s, nu_i = grid.meshes()
-    values = pump_envelope(pump, nu_s, nu_i) * pm_function(spec, nu_s, nu_i, approximation)
-    norm = math.sqrt(np.sum(np.abs(values) ** 2) * grid.step_signal * grid.step_idler)
-    return JointAmplitude(grid=grid, values=values / norm, normalized=True)
+    axis_s, axis_i = grid.axis_signal, grid.axis_idler
+    values = np.empty((grid.n_s, grid.n_i), dtype=complex)
+    intensity = np.empty(values.shape)  # |f|^2 per cell: the norm is one np.sum over the grid
+    rows = max(1, TILE_CELLS // grid.n_i)
+    for start in range(0, grid.n_s, rows):
+        tile = slice(start, start + rows)
+        nu_s, nu_i = np.meshgrid(axis_s[tile], axis_i, indexing="ij")
+        # complex first: real x complex flips the sign of some underflowed
+        # zeros, and --dump writes them out as -0
+        np.multiply(pm_function(spec, nu_s, nu_i, approximation),
+                    pump_envelope(pump, nu_s, nu_i), out=values[tile])
+        np.square(np.abs(values[tile], out=intensity[tile]), out=intensity[tile])
+    values /= math.sqrt(np.sum(intensity) * grid.step_signal * grid.step_idler)
+    return JointAmplitude(grid=grid, values=values, normalized=True)
 
 
 def apply_filter(jsa: JointAmplitude, filt: FilterSpec):
@@ -244,11 +259,11 @@ def apply_filter(jsa: JointAmplitude, filt: FilterSpec):
             f"filter bandwidth {filt.bandwidth:.4g} rad/ps narrower than two "
             "grid steps; refine the grid"
         )
-    values = jsa.values
+    values = jsa.values.copy()
     if filt.applies_to in ("signal", "both"):
-        values = values * filt.amplitude(jsa.grid.axis_signal)[:, None]
+        values *= filt.amplitude(jsa.grid.axis_signal)[:, None]
     if filt.applies_to in ("idler", "both"):
-        values = values * filt.amplitude(jsa.grid.axis_idler)[None, :]
+        values *= filt.amplitude(jsa.grid.axis_idler)[None, :]
     transmitted = float(np.sum(np.abs(values) ** 2) * jsa.cell_area)
     if transmitted < 1e-6:
         warnings.warn(
@@ -256,9 +271,8 @@ def apply_filter(jsa: JointAmplitude, filt: FilterSpec):
             "renormalized output is dominated by numerical tails",
             stacklevel=2,
         )
-    out = JointAmplitude(grid=jsa.grid, values=values / math.sqrt(transmitted),
-                         normalized=True)
-    return out, transmitted
+    values /= math.sqrt(transmitted)
+    return JointAmplitude(grid=jsa.grid, values=values, normalized=True), transmitted
 
 
 def marginals(jsa: JointAmplitude):

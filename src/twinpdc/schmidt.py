@@ -224,17 +224,18 @@ def density_overlap(jsa: JointAmplitude) -> float:
     return float(np.vdot(product, product).real)
 
 
-def schmidt_spectral_overlap(sd: SchmidtData) -> complex:
+def schmidt_spectral_overlap(sd: SchmidtData) -> float:
     """Spectral overlap through the Schmidt basis.
 
     O = sum_{k, n} lam_k lam_n <psi_n, phi_k> <phi_n, psi_k>, the same
-    functional as spectral_overlap up to the truncation residual.
+    functional as spectral_overlap up to the truncation residual.  Swapping
+    k and n conjugates each term, so O is real.
     """
     sd._require_modes()
     lam = sd.coefficients
     cross_ip = sd.idler_modes.conj().T @ sd.signal_modes * sd.step_signal
     cross_pi = sd.signal_modes.conj().T @ sd.idler_modes * sd.step_idler
-    return complex(np.sum(np.outer(lam, lam) * cross_ip * cross_pi))
+    return float(np.sum(np.outer(lam, lam) * cross_ip * cross_pi).real)
 
 
 def schmidt_density_overlap(sd: SchmidtData) -> float:

@@ -1,6 +1,7 @@
 """Config parsing and command-line behavior (exit codes, outputs, determinism)."""
 import csv
 import os
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,8 @@ def test_cli_overlap_report(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "spectral overlap |O| = 0.2" in out
+    magnitude, signed = re.search(r"\|O\| = (\S+) \(O = ([+-]\S+)\)", out).groups()
+    assert abs(float(signed)) == float(magnitude)
 
 
 def test_cli_delay_compensation_with_zero_group_delay(tmp_path, capsys):

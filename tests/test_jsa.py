@@ -1,5 +1,6 @@
 """Joint-amplitude assembly, filters, marginals and linewidths."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from twinpdc import (FilterSpec, FrequencyGrid, PumpSpec, apply_filter, build_jsa,
                      device_spec, fwhm, jsi_linewidth, marginals, pm_function,
                      pump_envelope)
+from twinpdc import config as cfgmod
 from twinpdc.dispersion import delta_k
 from twinpdc.errors import ConfigError, ContractError, RangeError, ResolutionError
-from twinpdc.jsa import JointAmplitude, dump_grid, load_grid
+from twinpdc.jsa import TILE_CELLS, JointAmplitude, dump_grid, load_grid
 from twinpdc.units import angular_to_thz, bandwidth_nm_to_angular
 
 from conftest import separable_jsa
@@ -126,6 +128,42 @@ def test_build_phase_matches_mismatch_pointwise(device, pump):
         assert np.max(np.abs(np.imag(rotated))) < 1e-12
 
 
+def reference_build_jsa(spec, pump, grid, approximation):
+    """Dense full-mesh formula, complex first; build_jsa must match its bits."""
+    nu_s, nu_i = grid.meshes()
+    values = pm_function(spec, nu_s, nu_i, approximation) * pump_envelope(pump, nu_s, nu_i)
+    norm = math.sqrt(np.sum(np.abs(values) ** 2) * grid.step_signal * grid.step_idler)
+    return values / norm
+
+
+@pytest.mark.parametrize("approx", ["sinc", "gaussian"])
+@pytest.mark.parametrize("shape", [(700, 700, 30.0, 30.0), (641, 448, 30.0, 20.0)],
+                         ids=["square", "non-square"])
+@pytest.mark.parametrize("tile_cells", [TILE_CELLS, 2200], ids=["default", "3-row"])
+def test_tiled_build_matches_dense_reference_bits(monkeypatch, device, pump, approx,
+                                                  shape, tile_cells):
+    grid = FrequencyGrid(*shape)
+    rows = tile_cells // grid.n_i
+    assert 2 * rows < grid.n_s and grid.n_s % rows  # several tiles, a ragged last one
+    monkeypatch.setattr("twinpdc.jsa.TILE_CELLS", tile_cells)
+    assert same_bits(build_jsa(device, pump, grid, approx).values,
+                     reference_build_jsa(device, pump, grid, approx))
+
+
+def test_build_peak_memory_under_twice_the_result(bundled_config, device, pump):
+    """The traced peak of the bundled 2048^2 build stays under 2x its output
+    (a dense build with full meshes peaks at 4.5x)."""
+    grid = cfgmod.grid_from_config(bundled_config)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        jsa = build_jsa(device, pump, grid, cfgmod.approximation_from_config(bundled_config))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * jsa.values.nbytes
+
+
 def test_bundled_device_linewidth_and_marginals(device, pump, unfiltered_jsa):
     lam = device.degeneracy_wavelength_nm
     width = jsi_linewidth(unfiltered_jsa, "antidiagonal")
@@ -181,6 +219,19 @@ def test_filter_renormalizes():
     out, transmitted = apply_filter(jsa, FilterSpec(shape="gaussian", bandwidth=1.0))
     assert 0.0 < transmitted < 1.0
     assert out.norm_squared() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("preset", ["g12", "sg40"])
+def test_filter_matches_dense_reference_bits(bundled_config, device, filter_base_jsa, preset):
+    """In-place filtering gives the bits of the product written out in full."""
+    filt = cfgmod.filter_preset(preset, device, bundled_config)
+    grid = filter_base_jsa.grid
+    values = (filter_base_jsa.values * filt.amplitude(grid.axis_signal)[:, None]
+              * filt.amplitude(grid.axis_idler)[None, :])
+    transmitted = float(np.sum(np.abs(values) ** 2) * filter_base_jsa.cell_area)
+    out, fraction = apply_filter(filter_base_jsa, filt)
+    assert fraction == transmitted
+    assert same_bits(out.values, values / math.sqrt(transmitted))
 
 
 def test_filter_single_axis_only_touches_that_axis():
