@@ -168,11 +168,13 @@ class JointAmplitude:
         """Discrete norm sum |f|^2 dnu_s dnu_i."""
         return float(np.sum(self.intensity()) * self.cell_area)
 
-    def check_normalized(self, tol=NORMALIZATION_TOL):
-        """Raise ContractError if the discrete norm is off 1 by more than tol."""
-        err = abs(self.norm_squared() - 1.0)
+    def check_normalized(self, tol=NORMALIZATION_TOL) -> float:
+        """Return the discrete norm; raise ContractError if it is off 1 by more than tol."""
+        norm_squared = self.norm_squared()
+        err = abs(norm_squared - 1.0)
         if err > tol:
             raise ContractError(f"normalization off by {err:.2e}")
+        return norm_squared
 
 
 def pump_envelope(pump: PumpSpec, nu_s, nu_i):

@@ -1,7 +1,7 @@
 """Schmidt decomposition of the joint amplitude and overlap functionals.
 
 The discretized amplitude matrix, scaled by sqrt(dnu_s dnu_i) so its
-Frobenius norm is 1, is factorized by SVD into
+Frobenius norm is 1, is factorized by a certified randomized SVD into
 
     f(nu_s, nu_i) = sum_k lam_k phi_k(nu_s) psi_k(nu_i)
 
@@ -21,7 +21,7 @@ lag sums c_d = sum_m f[m + d, m] conj(f[m, m + d]) dnu^2: real, of period 2 pi /
 O = O(0); delay_compensated_overlap maximizes |O(tau)| globally over a range.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -30,6 +30,8 @@ from .errors import ContractError, GridShapeError, RangeError
 from .jsa import JointAmplitude
 
 DEFAULT_RANK_CUTOFF = 1e-6
+SKETCH_KEY = 0  # Philox key of decompose's Gaussian sketch
+POWER_ITERATIONS = 2  # decompose's first count; more are added as the spectral gap needs
 POLISH_XATOL = 1e-9  # ps, the delay search's final bounded polish
 
 
@@ -38,11 +40,13 @@ class SchmidtData:
     """Schmidt spectrum and discretized mode functions.
 
     Attributes:
-        coefficients: descending nonnegative lam_k with sum lam_k^2 + residual = 1.
+        coefficients: descending nonnegative lam_k; sum lam_k^2 + residual is the
+            squared norm, 1 to within the normalization check.
         signal_modes: (n_s, r) array, phi_k in column k, or None for synthetic spectra.
         idler_modes: (n_i, r) array, psi_k in column k, or None.
         step_signal, step_idler: grid steps defining the inner product.
-        truncation_residual: weight discarded by the rank cutoff.
+        truncation_residual: weight the kept modes leave out, the squared norm
+            less sum lam_k^2.
     """
 
     coefficients: np.ndarray
@@ -84,6 +88,24 @@ class SchmidtData:
             out.append(float(np.max(np.abs(gram - np.eye(gram.shape[0])))))
         return tuple(out)
 
+    def truncated(self, cutoff):
+        """The fewest leading modes (at least one) whose discarded weight is at most cutoff.
+
+        The discarded weight is truncation_residual plus the dropped lam_k^2, summed
+        from the smallest up; it becomes the result's truncation_residual.
+        """
+        weights = self.coefficients**2
+        tails = np.concatenate((np.cumsum(weights[::-1])[::-1], [0.0]))
+        dropped = self.truncation_residual + tails  # dropped[k]: weight left out by k modes
+        keep = min(max(int(np.count_nonzero(dropped > cutoff)), 1), len(weights))
+        return replace(
+            self,
+            coefficients=self.coefficients[:keep],
+            signal_modes=None if self.signal_modes is None else self.signal_modes[:, :keep],
+            idler_modes=None if self.idler_modes is None else self.idler_modes[:, :keep],
+            truncation_residual=float(dropped[keep]),
+        )
+
     def reconstruct(self):
         """Amplitude values rebuilt from the kept modes."""
         self._require_modes()
@@ -91,33 +113,112 @@ class SchmidtData:
         return (self.signal_modes * lam[None, :]) @ self.idler_modes.T
 
 
-def decompose(jsa: JointAmplitude, rank_cutoff=DEFAULT_RANK_CUTOFF) -> SchmidtData:
-    """Schmidt-decompose a normalized joint amplitude.
+def _sketch_basis(f, width):
+    """Orthonormal basis of f Omega, Omega an n_i x width complex Gaussian from SKETCH_KEY."""
+    rng = np.random.Generator(np.random.Philox(key=SKETCH_KEY))
+    omega = rng.standard_normal((f.shape[1], 2 * width)).view(complex)
+    return np.linalg.qr(f @ omega)[0]
 
-    Modes are kept until the discarded weight sum lam_k^2 drops below
-    rank_cutoff, so the squared reconstruction error is at most rank_cutoff.
+
+def _power_iterate(f, q, iterations):
+    """Subspace iteration q <- orth(f orth(f^dag q)), re-orthonormalized by QR each side."""
+    for _ in range(iterations):
+        q = np.linalg.qr(f @ np.linalg.qr((f.T @ q.conj()).conj())[0])[0]
+    return q
+
+
+def _projected_schmidt(f, q, ds, di, norm_squared):
+    """Every Schmidt triplet of Q Q^dag F; its residual is the exact weight outside range(Q).
+
+    The SVD is of (Q^dag f)^T = f^T conj(Q), the form BLAS multiplies fastest.
+    """
+    u, s, vh = np.linalg.svd(f.T @ q.conj(), full_matrices=False)
+    lam = s * math.sqrt(ds * di)
+    return SchmidtData(
+        coefficients=lam,
+        signal_modes=q @ vh.T / math.sqrt(ds),
+        idler_modes=u / math.sqrt(di),
+        step_signal=ds,
+        step_idler=di,
+        truncation_residual=max(norm_squared - float(np.sum(lam**2)), 0.0),
+    )
+
+
+def _iterations_needed(lam, keep):
+    """Power iterations q that bring the gap factor x^(2q+1) down to dense-SVD rounding.
+
+    x = (lam_l / lam_k)^2 compares the last sketched and the last kept mode, and
+    the rounding of a dense SVD on lam_k is eps lam_1 / lam_k, relative.
+    """
+    gap = (lam[-1] / lam[keep - 1]) ** 2
+    if gap >= 1.0:
+        return math.inf
+    if gap == 0.0:
+        return 0
+    target = np.finfo(float).eps * lam[0] / lam[keep - 1]
+    return max(math.ceil((math.log(target) / math.log(gap) - 1.0) / 2.0), 0)
+
+
+def decompose(jsa: JointAmplitude, rank_cutoff=DEFAULT_RANK_CUTOFF) -> SchmidtData:
+    """Schmidt-decompose a normalized joint amplitude by a certified randomized SVD.
+
+    A Gaussian sketch of width l (Halko, Martinsson & Tropp, SIAM Rev. 53, 217
+    (2011), Alg. 4.4) gives an orthonormal Q, n_s x l, after q power iterations,
+    and the SVD of the small Q^dag f gives lam_j and the modes.  The kept part
+    of Q Q^dag F, F = f sqrt(dnu_s dnu_i), is an orthogonal projection of F, so
+    for any Q the weight it leaves out is exactly ||F||^2 - sum_{j<=k} lam_j^2
+    (ibid. Sec. 4.3), with ||F||^2 the pairwise sum the normalization check
+    takes, not the assumed 1, which that check lets be off by 1e-6.
+    truncated(rank_cutoff) keeps the fewest modes whose left-out weight is at
+    most rank_cutoff, so the squared reconstruction error is the reported
+    residual, certified whatever the sketch.  The sketch sets only how accurate
+    the kept lam_j and modes are, and three rules read off the same spectrum
+    decide when it is accurate enough:
+
+    - oversampling margin: the k kept modes leave at least l/8 of the l
+      columns spare, which keeps the Gaussian sketch's constant bounded (ibid.
+      Sec. 10); otherwise the width doubles.
+    - iteration count: after q iterations lam_k carries a relative error of
+      about x^(2q+1), x = (lam_l / lam_k)^2 the weight of the last sketched
+      mode over that of the last kept one (Gu, SIAM J. Sci. Comput. 37, A1139
+      (2015)).  The pass starts at q = POWER_ITERATIONS and takes the fewest
+      further iterations that bring x^(2q+1) down to eps lam_1 / lam_k, the
+      relative rounding a dense SVD leaves on lam_k.
+    - width: when that would more than double the pass's products with f
+      (more than 2q + 1 iterations), or x = 1, the width doubles instead.
+
+    The width starts at min(n_s, n_i) / 4: a pass makes 2q + 2 products with f
+    of n_s n_i l multiply-adds each, so a wider first pass would cost more than
+    a dense SVD of the grid.  It ends at min(n_s, n_i), where Q spans the whole
+    range of f: that pass is exact, needs no iterations and ends the loop.
 
     Raises:
         ContractError: if the input is not normalized.
     """
     if not jsa.normalized:
         raise ContractError("decompose requires a normalized JointAmplitude")
-    jsa.check_normalized(tol=1e-6)
+    norm_squared = jsa.check_normalized(tol=1e-6)
+    f = jsa.values
     ds, di = jsa.grid.step_signal, jsa.grid.step_idler
-    scaled = jsa.values * math.sqrt(ds * di)
-    u, lam, vh = np.linalg.svd(scaled, full_matrices=False)
-    weights = lam**2
-    keep = int(np.searchsorted(np.cumsum(weights), 1.0 - rank_cutoff) + 1)
-    keep = min(keep, len(lam))
-    residual = float(np.sum(weights[keep:]))
-    return SchmidtData(
-        coefficients=lam[:keep],
-        signal_modes=u[:, :keep] / math.sqrt(ds),
-        idler_modes=vh[:keep, :].T / math.sqrt(di),
-        step_signal=ds,
-        step_idler=di,
-        truncation_residual=residual,
-    )
+    full = min(f.shape)
+    width = max(full // 4, 1)
+    while True:
+        iterations = 0 if width == full else POWER_ITERATIONS
+        q = _power_iterate(f, _sketch_basis(f, width), iterations)
+        while True:
+            sketch = _projected_schmidt(f, q, ds, di, norm_squared)
+            kept = sketch.truncated(rank_cutoff)
+            if width == full:
+                return kept
+            keep = len(kept.coefficients)
+            needed = _iterations_needed(sketch.coefficients, keep)
+            if keep > width - width // 8 or needed > 2 * iterations + 1:
+                break
+            if needed <= iterations:
+                return kept
+            q = _power_iterate(f, q, needed - iterations)
+            iterations = needed
+        width = min(2 * width, full)
 
 
 @dataclass(frozen=True)
@@ -215,13 +316,13 @@ def density_overlap(jsa: JointAmplitude) -> float:
     """Overlap of the signal and idler spectral densities.
 
     With F = f sqrt(dnu_s dnu_i), the kernels are g_s = conj(F) F^T and
-    g_i = F^dag F, and trace(g_s g_i) = ||F conj(F)||_F^2, one matrix product;
-    real in [0, 1], bounded by the purity 1/K.
+    g_i = F^dag F, and trace(g_s g_i) = ||F conj(F)||_F^2 = ||f conj(f)||_F^2
+    (dnu_s dnu_i)^2, one matrix product on the amplitude as stored; real in
+    [0, 1], bounded by the purity 1/K.
     """
     _require_square(jsa)
-    scaled = jsa.values * math.sqrt(jsa.cell_area)
-    product = scaled @ scaled.conj()
-    return float(np.vdot(product, product).real)
+    product = jsa.values @ jsa.values.conj()
+    return float(np.vdot(product, product).real) * jsa.cell_area**2
 
 
 def schmidt_spectral_overlap(sd: SchmidtData) -> float:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from twinpdc import (FrequencyGrid, GainSpec, JointAmplitude, SchmidtData, apply_filter,
                      decompose, delay_compensated_overlap, density_overlap,
-                     gain_for_mean_n, schmidt_density_overlap,
+                     gain_for_mean_n, schmidt, schmidt_density_overlap,
                      schmidt_spectral_overlap, spectral_overlap)
 from twinpdc.errors import ContractError, GridShapeError, RangeError
 
@@ -30,10 +30,56 @@ def two_mode_jsa(weights=(math.sqrt(0.8), math.sqrt(0.2)), n=256, span=6.0):
     return JointAmplitude(grid=grid, values=values / norm, normalized=True)
 
 
+def decaying_jsa(n=400, ratio=0.8, norm_squared=1.0):
+    """Random orthonormal modes with Schmidt weights proportional to ratio^k."""
+    rng = np.random.default_rng(20140523)
+    grid = FrequencyGrid.square(n, 4.0)
+    u, v = (np.linalg.qr(rng.standard_normal((n, 2 * n)).view(complex))[0] for _ in range(2))
+    values = (u * ratio ** (np.arange(n) / 2.0)) @ v.T
+    values *= math.sqrt(norm_squared / (np.sum(np.abs(values) ** 2) * grid.step_signal
+                                        * grid.step_idler))
+    return JointAmplitude(grid=grid, values=values, normalized=True)
+
+
 def swapped_overlap_reference(jsa):
     """Direct dense evaluation of the overlap integral (independent of the lag sums)."""
     f = jsa.values
     return np.sum(f * np.conj(f.T)) * jsa.cell_area
+
+
+def dense_coefficients(jsa):
+    """Oracle: every Schmidt coefficient from the dense SVD of the whole grid."""
+    return np.linalg.svd(jsa.values, compute_uv=False) * math.sqrt(jsa.cell_area)
+
+
+def oracle_keep(lam, cutoff):
+    """Modes the oracle keeps: the first prefix whose weight reaches the total less cutoff."""
+    weights = lam**2
+    return int(np.searchsorted(np.cumsum(weights), np.sum(weights) - cutoff) + 1)
+
+
+@pytest.fixture(scope="module")
+def bundled_dense_coefficients(unfiltered_jsa):
+    return dense_coefficients(unfiltered_jsa)
+
+
+@pytest.fixture(scope="module")
+def fine_schmidt(unfiltered_jsa):
+    """The bundled amplitude decomposed once at the smallest cutoff the tests truncate to."""
+    return decompose(unfiltered_jsa, rank_cutoff=1e-8)
+
+
+@pytest.fixture
+def sketch_widths(monkeypatch):
+    """Widths of the sketches decompose draws, in order."""
+    widths = []
+    draw = schmidt._sketch_basis
+
+    def spy(f, width):
+        widths.append(width)
+        return draw(f, width)
+    monkeypatch.setattr(schmidt, "_sketch_basis", spy)
+    return widths
 
 
 def delayed_overlap_reference(jsa, tau):
@@ -86,6 +132,68 @@ def test_bundled_device_highly_multimodal(unfiltered_schmidt):
     assert unfiltered_schmidt.mode_number > 10.0
     ds, di = unfiltered_schmidt.gram_defects()
     assert ds < 1e-6 and di < 1e-6
+
+
+def test_truncated_keeps_fewest_modes_within_cutoff():
+    sd = SchmidtData.from_spectrum(np.sqrt([0.5, 0.3, 0.15, 0.05]))
+    for cutoff, keep, residual in ((0.0, 4, 0.0), (0.1, 3, 0.05), (0.25, 2, 0.2),
+                                   (0.6, 1, 0.5), (1.0, 1, 0.5)):
+        cut = sd.truncated(cutoff)
+        assert len(cut.coefficients) == keep
+        assert cut.truncation_residual == pytest.approx(residual, abs=1e-15)
+    again = sd.truncated(0.1).truncated(0.25)
+    assert len(again.coefficients) == 2
+    assert again.truncation_residual == pytest.approx(0.2, abs=1e-15)
+
+
+def test_sketch_matches_dense_oracle_on_bundled_grid(
+        unfiltered_schmidt, fine_schmidt, bundled_dense_coefficients):
+    lam = bundled_dense_coefficients
+    for sd, cutoff in ((unfiltered_schmidt, 1e-6), (fine_schmidt, 1e-8)):
+        keep = oracle_keep(lam, cutoff)
+        assert len(sd.coefficients) == keep
+        assert sd.coefficients == pytest.approx(lam[:keep], rel=1e-12, abs=0.0)
+        assert sd.mode_number == pytest.approx(1.0 / np.sum(lam[:keep] ** 4), rel=1e-12)
+        assert sd.truncation_residual == pytest.approx(np.sum(lam[keep:] ** 2), abs=1e-14)
+
+
+def test_reported_residual_is_reconstruction_error(sketch_widths):
+    """On an amplitude whose norm is off 1 by 8e-7, which decompose accepts."""
+    jsa = decaying_jsa(norm_squared=1.0 + 8e-7)
+    sd = decompose(jsa)
+    assert sketch_widths[-1] < min(jsa.values.shape)  # a partial sketch
+    err = np.sum(np.abs(jsa.values - sd.reconstruct()) ** 2) * jsa.cell_area
+    assert 0.0 < sd.truncation_residual <= schmidt.DEFAULT_RANK_CUTOFF
+    assert sd.truncation_residual == pytest.approx(err, abs=1e-15)
+
+
+def test_decompose_is_bit_reproducible(sketch_widths):
+    jsa = decaying_jsa()
+    first, second = decompose(jsa), decompose(jsa)
+    assert sketch_widths[-1] < min(jsa.values.shape)
+    for a, b in ((first.coefficients, second.coefficients),
+                 (first.signal_modes, second.signal_modes),
+                 (first.idler_modes, second.idler_modes)):
+        assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                              np.ascontiguousarray(b).view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", [(700, 600), (600, 700)])
+def test_flat_spectrum_widens_to_exact_full_sketch(shape, sketch_widths):
+    """A random amplitude has no spectral gap: at a tiny cutoff every mode is kept, which
+    only the full-width sketch can certify."""
+    rng = np.random.default_rng(20140523)
+    grid = FrequencyGrid(shape[0], shape[1], 4.0, 4.0)
+    values = rng.standard_normal((shape[0], 2 * shape[1])).view(complex)
+    values /= math.sqrt(np.sum(np.abs(values) ** 2) * grid.step_signal * grid.step_idler)
+    jsa = JointAmplitude(grid=grid, values=values, normalized=True)
+    sd = decompose(jsa, rank_cutoff=1e-14)
+    assert sketch_widths == [150, 300, 600]  # a quarter of the short axis, doubled
+    lam = dense_coefficients(jsa)
+    assert len(sd.coefficients) == min(shape)
+    assert sd.coefficients == pytest.approx(lam, rel=1e-12, abs=0.0)
+    err = np.sum(np.abs(values - sd.reconstruct()) ** 2) * jsa.cell_area
+    assert err <= 1e-14 and sd.truncation_residual <= 1e-14
 
 
 # --- spectral overlap ---------------------------------------------------------
@@ -226,15 +334,26 @@ def test_spectral_overlap_two_paths_filtered(bundled_config, device, filter_base
         assert abs(direct - basis) < 1e-3
 
 
-def test_overlap_truncation_bound(unfiltered_jsa):
-    """Dropping Schmidt weight rho moves O by at most 2 rho."""
-    full = abs(spectral_overlap(unfiltered_jsa))
-    for cutoff in (1e-4, 1e-2):
-        sd = decompose(unfiltered_jsa, rank_cutoff=cutoff)
-        truncated = abs(schmidt_spectral_overlap(sd))
+def test_overlap_truncation_bound(unfiltered_jsa, fine_schmidt):
+    """Keeping the modes g of f = g + h, ||h||^2 = rho, moves O exactly by
+    O(f) - O(g) = 2 Re<g, S h> + <h, S h>, S the swap (unitary, self-adjoint).
+    h is orthogonal to g, so Cauchy-Schwarz bounds |O(f) - O(g)| by
+    2 sqrt(rho (1 - rho)) + rho.  No bound linear in rho holds: on the bundled
+    grid |O(f) - O(g)| is 4.3 rho at a cutoff of 1e-6."""
+    f, cell = unfiltered_jsa.values, unfiltered_jsa.cell_area
+    full = spectral_overlap(unfiltered_jsa)
+    for cutoff in (1e-2, 1e-4, 1e-6, 1e-8):
+        sd = fine_schmidt.truncated(cutoff)
         rho = sd.truncation_residual
         assert rho <= cutoff
-        assert abs(full - truncated) <= 2.0 * max(rho, 1e-12)
+        g = sd.reconstruct()
+        h = f - g
+        assert np.vdot(h, h).real * cell == pytest.approx(rho, abs=1e-15)
+        assert abs(np.vdot(g, h) * cell) < 1e-12
+        shift = (2.0 * np.vdot(g, h.T).real + np.vdot(h, h.T).real) * cell
+        truncated = schmidt_spectral_overlap(sd)
+        assert full - truncated == pytest.approx(shift, abs=1e-12)
+        assert abs(full - truncated) <= 2.0 * math.sqrt(rho * (1.0 - rho)) + rho
 
 
 def test_mode_number_invariant_under_axis_swap(unfiltered_jsa, unfiltered_schmidt):
