@@ -128,12 +128,19 @@ def test_build_phase_matches_mismatch_pointwise(device, pump):
         assert np.max(np.abs(np.imag(rotated))) < 1e-12
 
 
+def flushed(values):
+    """The stored form of an amplitude: every part with |x| < tiny (±0, subnormal) set to +0."""
+    parts = values.view(float).copy()
+    parts[np.abs(parts) < np.finfo(float).tiny] = 0.0
+    return parts.view(complex)
+
+
 def reference_build_jsa(spec, pump, grid, approximation):
-    """Dense full-mesh formula, complex first; build_jsa must match its bits."""
+    """Dense full-mesh formula, complex first, flushed; build_jsa must match its bits."""
     nu_s, nu_i = grid.meshes()
     values = pm_function(spec, nu_s, nu_i, approximation) * pump_envelope(pump, nu_s, nu_i)
     norm = math.sqrt(np.sum(np.abs(values) ** 2) * grid.step_signal * grid.step_idler)
-    return values / norm
+    return flushed(values / norm)
 
 
 @pytest.mark.parametrize("approx", ["sinc", "gaussian"])
@@ -148,6 +155,51 @@ def test_tiled_build_matches_dense_reference_bits(monkeypatch, device, pump, app
     monkeypatch.setattr("twinpdc.jsa.TILE_CELLS", tile_cells)
     assert same_bits(build_jsa(device, pump, grid, approx).values,
                      reference_build_jsa(device, pump, grid, approx))
+
+
+def test_build_evaluates_only_the_pump_band(monkeypatch, bundled_config, device, pump):
+    """On the bundled 2048^2 grid the phasematching factor is evaluated on under 30%
+    of the cells, and the result still has the bits of the flushed dense formula."""
+    grid = cfgmod.grid_from_config(bundled_config)
+    approx = cfgmod.approximation_from_config(bundled_config)
+    evaluated = []
+
+    def counting(spec, nu_s, nu_i, approximation="sinc"):
+        evaluated.append(np.size(nu_s))
+        return pm_function(spec, nu_s, nu_i, approximation)
+    monkeypatch.setattr("twinpdc.jsa.pm_function", counting)
+    values = build_jsa(device, pump, grid, approx).values
+    assert sum(evaluated) < 0.3 * grid.n_s * grid.n_i
+    assert same_bits(values, reference_build_jsa(device, pump, grid, approx))
+
+
+def stray_tiny_parts(values):
+    """Real or imaginary parts with |x| < tiny that are not +0: subnormals and -0."""
+    parts = values.view(float)
+    return int(np.count_nonzero((np.abs(parts) < np.finfo(float).tiny)
+                                & ((parts != 0) | np.signbit(parts))))
+
+
+@pytest.mark.parametrize("preset", ["none", "g12", "sg40"])
+def test_built_and_filtered_amplitudes_hold_no_subnormal(bundled_config, device,
+                                                         unfiltered_jsa, filter_base_jsa,
+                                                         preset):
+    """The bundled amplitude held 37,571 subnormal parts before they were flushed."""
+    if preset == "none":
+        jsa = unfiltered_jsa
+    else:
+        jsa, _ = apply_filter(filter_base_jsa,
+                              cfgmod.filter_preset(preset, device, bundled_config))
+    assert stray_tiny_parts(jsa.values) == 0
+
+
+def test_filter_zeros_are_stored_as_positive_zero():
+    """A rectangular filter times a negative part gives -0, which is stored as +0."""
+    jsa = chirped_jsa()
+    assert np.any(jsa.values.view(float) < 0)
+    out, _ = apply_filter(jsa, FilterSpec(shape="rectangular", bandwidth=2.0))
+    assert np.any(out.values == 0)
+    assert stray_tiny_parts(out.values) == 0
 
 
 def test_build_peak_memory_under_twice_the_result(bundled_config, device, pump):
@@ -223,7 +275,7 @@ def test_filter_renormalizes():
 
 @pytest.mark.parametrize("preset", ["g12", "sg40"])
 def test_filter_matches_dense_reference_bits(bundled_config, device, filter_base_jsa, preset):
-    """In-place filtering gives the bits of the product written out in full."""
+    """In-place filtering gives the bits of the product written out in full, flushed."""
     filt = cfgmod.filter_preset(preset, device, bundled_config)
     grid = filter_base_jsa.grid
     values = (filter_base_jsa.values * filt.amplitude(grid.axis_signal)[:, None]
@@ -231,7 +283,7 @@ def test_filter_matches_dense_reference_bits(bundled_config, device, filter_base
     transmitted = float(np.sum(np.abs(values) ** 2) * filter_base_jsa.cell_area)
     out, fraction = apply_filter(filter_base_jsa, filt)
     assert fraction == transmitted
-    assert same_bits(out.values, values / math.sqrt(transmitted))
+    assert same_bits(out.values, flushed(values / math.sqrt(transmitted)))
 
 
 def test_filter_single_axis_only_touches_that_axis():

@@ -314,6 +314,59 @@ def test_density_overlap_two_paths_and_purity_bound(
     assert direct <= 1.0 / sd.mode_number + 1e-9
 
 
+def banded_grid(n_s, n_i, half_width, zero_rows=(), seed=7):
+    """Random complex grid, nonzero only within half_width columns of the anti-diagonal."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n_s, 2 * n_i)).view(complex)
+    rows, cols = np.indices((n_s, n_i))
+    values[np.abs(rows * (n_i - 1) / max(n_s - 1, 1) + cols - (n_i - 1)) > half_width] = 0
+    values[list(zero_rows)] = 0
+    return values
+
+
+def product_cases(unfiltered_jsa):
+    rows = schmidt.BLOCK_ROWS
+    rng = np.random.default_rng(3)
+    return {
+        "bundled": unfiltered_jsa.values,
+        "dense": rng.standard_normal((300, 600)).view(complex),
+        "zero-rows": banded_grid(4 * rows, 4 * rows, 20,
+                                 zero_rows=[0, 5, *range(rows, 2 * rows)]),
+        "non-square": banded_grid(3 * rows + 17, 150, 12),
+    }
+
+
+@pytest.mark.parametrize("case", ["bundled", "dense", "zero-rows", "non-square"])
+def test_banded_products_match_dense(unfiltered_jsa, case):
+    f = product_cases(unfiltered_jsa)[case]
+    band = schmidt._Banded(f)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((f.shape[1], 16)).view(complex)
+    y = rng.standard_normal((f.shape[0], 16)).view(complex)
+    for banded, dense in ((band.dot(x), f @ x), (band.tdot(y), f.T @ y)):
+        assert np.max(np.abs(banded - dense)) <= 1e-13 * np.max(np.abs(dense))
+    blocks = -(-f.shape[0] // schmidt.BLOCK_ROWS)
+    multiplied = sum(f[rows, cols].size for rows, cols in band.blocks)
+    if case == "dense":
+        assert multiplied == f.size
+    else:
+        assert multiplied < 0.5 * f.size
+    if case == "zero-rows":
+        assert len(band.blocks) == blocks - 1  # the all-zero block is skipped
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 200), width=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       zero_rows=st.lists(st.integers(0, 199), max_size=80))
+def test_density_overlap_matches_dense_product(n, width, seed, zero_rows):
+    """The blocked density overlap equals ||f conj(f)||^2 dnu^2 on random square grids."""
+    values = banded_grid(n, n, width * n, [r for r in zero_rows if r < n], seed)
+    jsa = JointAmplitude(grid=FrequencyGrid.square(n, 3.0), values=values)
+    product = values @ values.conj()
+    dense = float(np.vdot(product, product).real) * jsa.cell_area**2
+    assert density_overlap(jsa) == pytest.approx(dense, rel=1e-12, abs=1e-300)
+
+
 # --- Schmidt-basis cross-checks -------------------------------------------------
 
 def test_spectral_overlap_two_paths_bundled(unfiltered_jsa, unfiltered_schmidt):
