@@ -112,10 +112,6 @@ class FrequencyGrid:
     def is_square(self):
         return self.n_s == self.n_i and self.span_s == self.span_i
 
-    def meshes(self):
-        """Signal/idler detuning meshes with 'ij' indexing (rows = signal)."""
-        return np.meshgrid(self.axis_signal, self.axis_idler, indexing="ij")
-
 
 @dataclass(frozen=True)
 class FilterSpec:

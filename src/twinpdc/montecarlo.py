@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .schmidt import SchmidtData
+from .schmidt import mode_means
 from .twinstats import (CountRecord, DetectionSpec, klyshko, mean_n_from_cross)
 
 SATURATION_MEAN = 0.9
@@ -38,11 +38,12 @@ def equal_mode_spectrum(n_modes: int) -> np.ndarray:
 class SimConfig:
     """Simulation input: source spectrum, gain, detection and gating.
 
-    source may be a SchmidtData or a bare array of Schmidt coefficients.
-    The gate rate is laser_rep_hz / gate_divisor and must match det.gate_rate.
+    source is the array of Schmidt coefficients lam_k, and the gain B must be
+    finite and nonnegative.  The gate rate is laser_rep_hz / gate_divisor and
+    must match det.gate_rate.
     """
 
-    source: object
+    source: np.ndarray
     gain: float
     det: DetectionSpec
     n_gates: int
@@ -51,6 +52,8 @@ class SimConfig:
     gate_divisor: int = 64
 
     def __post_init__(self):
+        if not 0.0 <= self.gain < math.inf:
+            raise ConfigError(f"gain must be finite and nonnegative, got {self.gain}")
         if self.n_gates <= 0:
             raise ConfigError("n_gates must be positive")
         if self.gate_divisor < 1:
@@ -67,14 +70,7 @@ class SimConfig:
 
     @property
     def coefficients(self) -> np.ndarray:
-        if isinstance(self.source, SchmidtData):
-            return self.source.coefficients
         return np.asarray(self.source, dtype=float)
-
-
-def mode_means(cfg: SimConfig) -> np.ndarray:
-    """Per-mode thermal pair means sinh^2(B lam_k) over all modes."""
-    return np.sinh(cfg.gain * cfg.coefficients) ** 2
 
 
 def _outcome_probabilities(means, det: DetectionSpec) -> np.ndarray:
@@ -96,11 +92,13 @@ def _outcome_probabilities(means, det: DetectionSpec) -> np.ndarray:
     log_s_given_i = log_quiet(det.eta1, det.dark_prob1, det.eta2)
     log_i_given_s = log_quiet(det.eta2, det.dark_prob2, det.eta1)
     quiet_s, quiet_i = math.exp(log_s), math.exp(log_i)
-    # P(both) = p_s p_i + (q_both - q_s q_i), and q_both / (q_s q_i) = exp(log_s_given_i - log_s)
+    quiet_both = quiet_i * math.exp(log_s_given_i)
+    # P(both) = p_s p_i + (q_both - q_s q_i), and q_both - q_s q_i = -q_both expm1(log_s -
+    # log_s_given_i), whose exponent is <= 0, so no factor overflows
     both = (math.expm1(log_s) * math.expm1(log_i)
-            + quiet_s * quiet_i * math.expm1(log_s_given_i - log_s))
+            - quiet_both * math.expm1(log_s - log_s_given_i))
     return np.array([both, -quiet_i * math.expm1(log_s_given_i),
-                     -quiet_s * math.expm1(log_i_given_s), quiet_i * math.exp(log_s_given_i)])
+                     -quiet_s * math.expm1(log_i_given_s), quiet_both])
 
 
 def simulate(cfg: SimConfig) -> CountRecord:
@@ -109,10 +107,10 @@ def simulate(cfg: SimConfig) -> CountRecord:
     Warns when the strongest mode exceeds a per-gate mean of 0.9 pairs, where
     click saturation invalidates the low-gain estimator checks.
     """
-    means = mode_means(cfg)
+    means = mode_means(cfg.coefficients, cfg.gain)
     if means.max(initial=0.0) > SATURATION_MEAN:
         warnings.warn(
-            f"strongest mode mean {means.max():.2f} > {SATURATION_MEAN}: "
+            f"strongest mode mean {means.max():.3g} > {SATURATION_MEAN}: "
             "click detectors saturate, low-gain estimators will be biased",
             stacklevel=2,
         )
@@ -131,8 +129,8 @@ def exact_click_probabilities(lambdas, gain, det: DetectionSpec):
     The same outcome probabilities the sampler draws from, products over every
     mode with no truncation.
     """
-    m = np.sinh(gain * np.asarray(lambdas, dtype=float)) ** 2
-    both, signal_only, idler_only, _ = _outcome_probabilities(m, det)
+    means = mode_means(lambdas, gain)
+    both, signal_only, idler_only, _ = _outcome_probabilities(means, det)
     return (float(both + signal_only), float(both + idler_only), float(both))
 
 
@@ -168,8 +166,8 @@ def efficiency_sweep(cfg: SimConfig, pump_powers, power_coefficient=1.0):
     """
     points = []
     for idx, power in enumerate(pump_powers):
-        if power <= 0:
-            raise ConfigError("pump powers must be positive")
+        if not 0.0 < power < math.inf:
+            raise ConfigError(f"pump powers must be positive and finite, got {power}")
         gain = math.sqrt(power_coefficient * power)
         seed = (cfg.seed + (idx + 1) * 0x9E3779B97F4A7C15) % 2**64
         point_cfg = replace(cfg, gain=gain, seed=seed)

@@ -21,7 +21,7 @@ from .montecarlo import (SimConfig, efficiency_sweep, equal_mode_spectrum,
                          extrapolate_zero_power, simulate)
 from .schmidt import (decompose, delay_compensated_overlap, gain_for_mean_n,
                       schmidt_spectral_overlap, spectral_overlap)
-from .twinstats import (DetectionSpec, mean_n_from_cross, visibility_approx,
+from .twinstats import (DetectionSpec, glauber, mean_n_from_cross, visibility_approx,
                         visibility_full)
 from .fit import fit_overlap, points_from_arrays
 from .units import angular_bandwidth_to_nm, angular_to_thz, thz_to_wavelength_nm
@@ -187,7 +187,10 @@ def _noiseless_fit(inputs):
 
 
 def _estimator_matrix(inputs):
-    """Worst |C/A - (1 + 1/K + 1/n)| in sigma units over 27 cells at 1e6 gates."""
+    """Worst |C/A - G(1,1) / n^2| in sigma units over 27 cells at 1e6 gates.
+
+    G(1,1) / n^2 = 1 + 1/K + 1/n is the cross-correlation of the twin beams.
+    """
     worst = 0.0
     cell = 0
     for k_modes in ESTIMATOR_MODES:
@@ -200,7 +203,7 @@ def _estimator_matrix(inputs):
                 rec = simulate(SimConfig(source=lam, gain=gain, det=det,
                                          n_gates=1_000_000, seed=inputs.seed + cell))
                 est = mean_n_from_cross(rec)
-                expected = 1.0 + 1.0 / k_modes + 1.0 / mean_n
+                expected = glauber(mean_n, k_modes, (1, 1)) / mean_n**2
                 sigma = est.cross_correlation * math.sqrt(
                     1.0 / rec.coincidences + 1.0 / rec.singles_signal
                     + 1.0 / rec.singles_idler)

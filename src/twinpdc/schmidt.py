@@ -8,6 +8,8 @@ Frobenius norm is 1, is factorized by a certified randomized SVD into
 with orthonormal mode functions under the discrete inner product
 <a, b> = sum conj(a) b dnu.  The effective mode number K = 1 / sum lam_k^4
 counts the excited pair modes; 1/K is the heralded single-photon purity.
+At gain B, mode k holds a thermal pair number of mean sinh^2(B lam_k)
+(mode_means), the one input of every multi-photon quantity.
 
 Two indistinguishability functionals are provided, each computable directly
 on the grid and through the Schmidt basis:
@@ -47,27 +49,19 @@ class SchmidtData:
     Attributes:
         coefficients: descending nonnegative lam_k; sum lam_k^2 + residual is the
             squared norm, 1 to within the normalization check.
-        signal_modes: (n_s, r) array, phi_k in column k, or None for synthetic spectra.
-        idler_modes: (n_i, r) array, psi_k in column k, or None.
+        signal_modes: (n_s, r) array, phi_k in column k.
+        idler_modes: (n_i, r) array, psi_k in column k.
         step_signal, step_idler: grid steps defining the inner product.
         truncation_residual: weight the kept modes leave out, the squared norm
             less sum lam_k^2.
     """
 
     coefficients: np.ndarray
-    signal_modes: np.ndarray | None
-    idler_modes: np.ndarray | None
+    signal_modes: np.ndarray
+    idler_modes: np.ndarray
     step_signal: float
     step_idler: float
     truncation_residual: float = 0.0
-
-    @classmethod
-    def from_spectrum(cls, coefficients):
-        """Synthetic spectrum without mode functions (normalizes the weights)."""
-        lam = np.sort(np.asarray(coefficients, dtype=float))[::-1]
-        lam = lam / math.sqrt(np.sum(lam**2))
-        return cls(coefficients=lam, signal_modes=None, idler_modes=None,
-                   step_signal=1.0, step_idler=1.0)
 
     @property
     def mode_number(self) -> float:
@@ -78,14 +72,8 @@ class SchmidtData:
     def purity(self) -> float:
         return 1.0 / self.mode_number
 
-    def _require_modes(self):
-        """Raise ContractError on a synthetic spectrum, which has no mode functions."""
-        if self.signal_modes is None or self.idler_modes is None:
-            raise ContractError("operation needs mode functions; a synthetic spectrum has none")
-
     def gram_defects(self):
         """Max |G - I| entries of the signal and idler mode Gram matrices."""
-        self._require_modes()
         out = []
         for modes, step in ((self.signal_modes, self.step_signal),
                             (self.idler_modes, self.step_idler)):
@@ -106,14 +94,13 @@ class SchmidtData:
         return replace(
             self,
             coefficients=self.coefficients[:keep],
-            signal_modes=None if self.signal_modes is None else self.signal_modes[:, :keep],
-            idler_modes=None if self.idler_modes is None else self.idler_modes[:, :keep],
+            signal_modes=self.signal_modes[:, :keep],
+            idler_modes=self.idler_modes[:, :keep],
             truncation_residual=float(dropped[keep]),
         )
 
     def reconstruct(self):
         """Amplitude values rebuilt from the kept modes."""
-        self._require_modes()
         lam = self.coefficients
         return (self.signal_modes * lam[None, :]) @ self.idler_modes.T
 
@@ -276,37 +263,20 @@ def decompose(jsa: JointAmplitude, rank_cutoff=DEFAULT_RANK_CUTOFF) -> SchmidtDa
         width = min(2 * width, full)
 
 
-@dataclass(frozen=True)
-class GainSpec:
-    """Optical gain and per-mode squeezing of the twin-beam state.
-
-    The squeezing of Schmidt mode k is r_k = gain * lam_k and the total mean
-    photon number per beam is sum sinh^2(r_k), approximately gain^2 at low gain.
-    """
-
-    gain: float
-    squeezing: np.ndarray
-    mean_n: float
-
-    def __post_init__(self):
-        if self.gain < 0:
-            raise ContractError("gain must be nonnegative")
-
-    @classmethod
-    def for_spectrum(cls, gain, coefficients):
-        r = gain * np.asarray(coefficients, dtype=float)
-        return cls(gain=gain, squeezing=r, mean_n=float(np.sum(np.sinh(r) ** 2)))
+def mode_means(coefficients, gain) -> np.ndarray:
+    """Per-mode thermal pair means m_k = sinh^2(B lam_k) at gain B."""
+    return np.sinh(gain * np.asarray(coefficients, dtype=float)) ** 2
 
 
 def gain_for_mean_n(mean_n, coefficients):
-    """Invert sum sinh^2(B lam_k) = mean_n for the gain B."""
+    """Invert sum_k mode_means(coefficients, B) = mean_n for the gain B."""
     if mean_n <= 0:
         return 0.0
     lam = np.asarray(coefficients, dtype=float)
     lo, hi = 0.0, 2.0 * math.asinh(math.sqrt(mean_n)) / float(np.max(lam))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if np.sum(np.sinh(mid * lam) ** 2) < mean_n:
+        if mode_means(lam, mid).sum() < mean_n:
             lo = mid
         else:
             hi = mid
@@ -394,7 +364,6 @@ def schmidt_spectral_overlap(sd: SchmidtData) -> float:
     functional as spectral_overlap up to the truncation residual.  Swapping
     k and n conjugates each term, so O is real.
     """
-    sd._require_modes()
     lam = sd.coefficients
     cross_ip = sd.idler_modes.conj().T @ sd.signal_modes * sd.step_signal
     cross_pi = sd.signal_modes.conj().T @ sd.idler_modes * sd.step_idler
@@ -403,7 +372,6 @@ def schmidt_spectral_overlap(sd: SchmidtData) -> float:
 
 def schmidt_density_overlap(sd: SchmidtData) -> float:
     """Density overlap through the Schmidt basis: sum lam_n^2 lam_k^2 |<phi_n, psi_k>|^2."""
-    sd._require_modes()
     lam2 = sd.coefficients**2
     cross = sd.signal_modes.conj().T @ sd.idler_modes * sd.step_signal
     return float(np.real(np.sum(np.outer(lam2, lam2) * np.abs(cross) ** 2)))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NonPhysicalCorrelationError
-from .schmidt import GainSpec, SchmidtData
 
 SUPPORTED_GLAUBER_ORDERS = {(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)}
 
@@ -92,10 +91,11 @@ class VisibilityPoint:
             raise ContractError("visibility outside [-1, 1]")
 
 
-def glauber(schmidt: SchmidtData, gain: GainSpec, order) -> float:
+def glauber(mean_n, mode_number, order) -> float:
     """Normally ordered Glauber correlation G(w, v) of the twin beams.
 
-    With n the mean photon number per beam and K the effective mode number:
+    With n = mean_n the mean photon number per beam and K = mode_number the
+    effective mode number (math.inf for the many-mode limit):
 
         G(1,0) = G(0,1) = n
         G(2,0) = G(0,2) = n^2 (1 + 1/K)
@@ -107,13 +107,11 @@ def glauber(schmidt: SchmidtData, gain: GainSpec, order) -> float:
     order = tuple(order)
     if order not in SUPPORTED_GLAUBER_ORDERS:
         raise ValueError(f"unsupported Glauber order {order}")
-    n = gain.mean_n
     if order in ((1, 0), (0, 1)):
-        return n
-    k = schmidt.mode_number
-    auto = n**2 * (1.0 + 1.0 / k)
+        return mean_n
+    auto = mean_n**2 * (1.0 + 1.0 / mode_number)
     if order == (1, 1):
-        return auto + n
+        return auto + mean_n
     return auto
 
 
@@ -144,13 +142,6 @@ def rate_extrema(mean_n, mode_number, overlap, density_overlap, eta1, eta2):
     return r_min, r_max
 
 
-def coincidence_rates(schmidt: SchmidtData, gain: GainSpec, det: DetectionSpec,
-                      overlap: float, density_overlap: float):
-    """rate_extrema evaluated for a decomposed source and gain (see there)."""
-    return rate_extrema(gain.mean_n, schmidt.mode_number, overlap,
-                        density_overlap, det.eta1, det.eta2)
-
-
 def visibility_from_rates(r_min, r_max) -> float:
     return (r_max - r_min) / (r_max + r_min)
 
@@ -162,7 +153,7 @@ def visibility_full(overlap, mean_n, eta1, eta2):
             / ([3 - O] + 3 n + n (eta1/eta2 + eta2/eta1) / 2)
 
     Reduces exactly to visibility_approx for eta1 = eta2.  The finite-K
-    rates are available through coincidence_rates + visibility_from_rates.
+    rates are available through rate_extrema + visibility_from_rates.
     """
     if eta1 <= 0 or eta2 <= 0:
         raise ContractError("transmission ratio undefined for zero efficiency")

@@ -213,6 +213,24 @@ def test_cli_visibility_bad_range(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("sim, extra", [("gain = nan", []), ("gain = inf", []),
+                                        ("", ["--sweep", "0.1,nan"])],
+                         ids=["gain-nan", "gain-inf", "sweep-nan"])
+def test_cli_montecarlo_nonfinite_input_exit_code(tmp_path, capsys, sim, extra):
+    path = write_cfg(tmp_path, MINIMAL + f"\n[sim]\ngates = 1000\n{sim}\n")
+    assert main(["montecarlo", "--config", path, "--out", str(tmp_path), *extra]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_montecarlo_saturated_sweep_exit_code(tmp_path, capsys):
+    """At power 1e6 every gate clicks in both arms, so C/A = 1 has no mean photon number."""
+    args = ["montecarlo", "--gates", "1000", "--sweep", "0.1,1e6", "--out", str(tmp_path)]
+    with pytest.warns(UserWarning, match="saturate"):
+        assert main(args) == 3
+    assert "C/A" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_cli_montecarlo_deterministic(tmp_path, capsys):
     args = ["montecarlo", "--gates", "200000", "--seed", "9",
             "--out", str(tmp_path)]

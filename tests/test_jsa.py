@@ -122,7 +122,7 @@ def test_build_phase_matches_mismatch_pointwise(device, pump):
     grid = FrequencyGrid.square(128, 1.0)
     for approx in ("gaussian", "sinc"):
         jsa = build_jsa(device, pump, grid, approx)
-        ns, ni = grid.meshes()
+        ns, ni = np.meshgrid(grid.axis_signal, grid.axis_idler, indexing="ij")
         x = 0.5 * device.length_um * delta_k(device, ns, ni)
         rotated = jsa.values * np.exp(-1j * x)
         assert np.max(np.abs(np.imag(rotated))) < 1e-12
@@ -137,7 +137,7 @@ def flushed(values):
 
 def reference_build_jsa(spec, pump, grid, approximation):
     """Dense full-mesh formula, complex first, flushed; build_jsa must match its bits."""
-    nu_s, nu_i = grid.meshes()
+    nu_s, nu_i = np.meshgrid(grid.axis_signal, grid.axis_idler, indexing="ij")
     values = pm_function(spec, nu_s, nu_i, approximation) * pump_envelope(pump, nu_s, nu_i)
     norm = math.sqrt(np.sum(np.abs(values) ** 2) * grid.step_signal * grid.step_idler)
     return flushed(values / norm)
@@ -370,7 +370,7 @@ def reference_dump(jsa, path, header_lines=()):
 def chirped_jsa(n_s=24, n_i=40):
     """Normalized non-separable complex amplitude on a non-square grid."""
     grid = FrequencyGrid(n_s, n_i, 3.0, 2.5)
-    nu_s, nu_i = grid.meshes()
+    nu_s, nu_i = np.meshgrid(grid.axis_signal, grid.axis_idler, indexing="ij")
     values = np.exp(-(nu_s + nu_i) ** 2 - 0.3 * (nu_s - nu_i) ** 2 + 1j * nu_s * nu_i)
     values /= math.sqrt(np.sum(np.abs(values) ** 2) * grid.step_signal * grid.step_idler)
     return JointAmplitude(grid=grid, values=values, normalized=True)

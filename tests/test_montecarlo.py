@@ -152,6 +152,11 @@ def test_arm_symmetry_under_eta_swap():
         swapped.singles_signal)
 
 
+def test_exact_click_probabilities_saturate_without_overflow():
+    """At mode means near 1e193 every arm clicks; the correlation term must not overflow."""
+    assert exact_click_probabilities(equal_mode_spectrum(20), 1000.0, det()) == (1.0, 1.0, 1.0)
+
+
 def test_exact_click_probabilities_keep_precision_at_tiny_means():
     """At a total mean of 5e-12 the probabilities are first order in the means."""
     lam = equal_mode_spectrum(5)
@@ -201,8 +206,9 @@ def test_efficiency_sweep_shapes_and_extrapolation():
 
 def test_sweep_rejects_nonpositive_power():
     base = cfg(equal_mode_spectrum(5), 1.0, det())
-    with pytest.raises(ConfigError):
-        efficiency_sweep(base, [0.1, -0.5])
+    for bad in (-0.5, 0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="pump powers"):
+            efficiency_sweep(base, [0.1, bad])
 
 
 def test_sweep_reproducible():

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twinpdc import (FrequencyGrid, GainSpec, JointAmplitude, SchmidtData, apply_filter,
-                     decompose, delay_compensated_overlap, density_overlap,
-                     gain_for_mean_n, schmidt, schmidt_density_overlap,
+from twinpdc import (DetectionSpec, FrequencyGrid, JointAmplitude, SchmidtData, SimConfig,
+                     apply_filter, decompose, delay_compensated_overlap, density_overlap,
+                     gain_for_mean_n, mode_means, schmidt, schmidt_density_overlap,
                      schmidt_spectral_overlap, spectral_overlap)
-from twinpdc.errors import ContractError, GridShapeError, RangeError
+from twinpdc.errors import ConfigError, ContractError, GridShapeError, RangeError
 
 from conftest import gaussian_mode, separable_jsa
 
@@ -135,11 +135,13 @@ def test_bundled_device_highly_multimodal(unfiltered_schmidt):
 
 
 def test_truncated_keeps_fewest_modes_within_cutoff():
-    sd = SchmidtData.from_spectrum(np.sqrt([0.5, 0.3, 0.15, 0.05]))
+    sd = SchmidtData(coefficients=np.sqrt([0.5, 0.3, 0.15, 0.05]), signal_modes=np.eye(4),
+                     idler_modes=np.eye(4), step_signal=1.0, step_idler=1.0)
     for cutoff, keep, residual in ((0.0, 4, 0.0), (0.1, 3, 0.05), (0.25, 2, 0.2),
                                    (0.6, 1, 0.5), (1.0, 1, 0.5)):
         cut = sd.truncated(cutoff)
         assert len(cut.coefficients) == keep
+        assert cut.signal_modes.shape == cut.idler_modes.shape == (4, keep)
         assert cut.truncation_residual == pytest.approx(residual, abs=1e-15)
     again = sd.truncated(0.1).truncated(0.25)
     assert len(again.coefficients) == 2
@@ -453,28 +455,21 @@ def test_overlap_functional_bounds_and_mode_number_invariance(jsa, phase, lo, hi
 
 def test_gain_spec_mean_photon_number():
     lam = np.array([math.sqrt(0.8), math.sqrt(0.2)])
-    gain = GainSpec.for_spectrum(0.5, lam)
-    expected = sum(math.sinh(0.5 * v) ** 2 for v in lam)
-    assert gain.mean_n == pytest.approx(expected, rel=1e-12)
-    assert gain.squeezing == pytest.approx(0.5 * lam)
+    expected = [math.sinh(0.5 * v) ** 2 for v in lam]
+    assert mode_means(lam, 0.5) == pytest.approx(expected, rel=1e-12)
+    assert mode_means(lam, 0.5).sum() == pytest.approx(sum(expected), rel=1e-12)
 
 
 def test_gain_for_mean_n_inverts():
     lam = np.full(20, 1.0 / math.sqrt(20))
     for target in (0.05, 0.5, 2.0):
         b = gain_for_mean_n(target, lam)
-        assert GainSpec.for_spectrum(b, lam).mean_n == pytest.approx(target, rel=1e-9)
+        assert mode_means(lam, b).sum() == pytest.approx(target, rel=1e-9)
 
 
 def test_gain_rejects_negative():
-    with pytest.raises(ContractError):
-        GainSpec(gain=-0.1, squeezing=np.array([]), mean_n=0.0)
-
-
-@pytest.mark.parametrize("operation", [
-    SchmidtData.gram_defects, SchmidtData.reconstruct,
-    schmidt_spectral_overlap, schmidt_density_overlap])
-def test_synthetic_spectrum_has_no_mode_functions(operation):
-    sd = SchmidtData.from_spectrum([0.8, 0.5, 0.3])
-    with pytest.raises(ContractError, match="mode functions"):
-        operation(sd)
+    """SimConfig holds the gain, so it rejects a negative, NaN or infinite one."""
+    det = DetectionSpec(eta1=0.1, eta2=0.1, gate_rate=76.2e6 / 64)
+    for gain in (-0.1, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="gain"):
+            SimConfig(source=np.ones(1), gain=gain, det=det, n_gates=1, seed=0)

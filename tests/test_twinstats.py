@@ -6,58 +6,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinpdc import (CountRecord, DetectionSpec, SchmidtData, VisibilityPoint,
-                     coincidence_rates, fringe_curve, glauber, klyshko,
-                     mean_n_from_cross, rate_extrema, visibility_approx,
+from twinpdc import (CountRecord, DetectionSpec, VisibilityPoint, fringe_curve, glauber,
+                     klyshko, mean_n_from_cross, rate_extrema, visibility_approx,
                      visibility_from_rates, visibility_full)
 from twinpdc.errors import ContractError, NonPhysicalCorrelationError
-from twinpdc.schmidt import GainSpec
 from twinpdc.twinstats import (read_count_records, read_visibility_points,
                                write_count_records, write_visibility_points)
-
-
-def equal_schmidt(k):
-    return SchmidtData.from_spectrum(np.full(k, 1.0))
-
-
-def gain_with_mean(n):
-    return GainSpec(gain=math.sqrt(n), squeezing=np.array([math.asinh(math.sqrt(n))]),
-                    mean_n=n)
-
-
-DET = DetectionSpec(eta1=0.06, eta2=0.056, gate_rate=76.2e6 / 64)
 
 
 # --- Glauber correlations ----------------------------------------------------
 
 def test_glauber_first_order_is_mean_n():
-    sd = equal_schmidt(4)
-    g = gain_with_mean(0.37)
-    assert glauber(sd, g, (1, 0)) == 0.37
-    assert glauber(sd, g, (0, 1)) == 0.37
+    assert glauber(0.37, 4, (1, 0)) == 0.37
+    assert glauber(0.37, 4, (0, 1)) == 0.37
 
 
 def test_glauber_many_mode_limit():
-    sd = equal_schmidt(10**6)
-    assert glauber(sd, gain_with_mean(0.5), (2, 0)) == pytest.approx(0.25, rel=1e-5)
+    assert glauber(0.5, 10**6, (2, 0)) == pytest.approx(0.25, rel=1e-5)
+    assert glauber(0.5, math.inf, (2, 0)) == 0.25
 
 
 def test_glauber_single_mode_thermal_doubling():
-    sd = equal_schmidt(1)
-    assert glauber(sd, gain_with_mean(0.5), (2, 0)) == pytest.approx(0.5)
+    assert glauber(0.5, 1, (2, 0)) == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("k", [1, 3, 20])
 @pytest.mark.parametrize("n", [0.01, 0.5, 2.0])
 def test_glauber_cross_minus_auto_is_mean_n(k, n):
-    sd = equal_schmidt(k)
-    g = gain_with_mean(n)
-    assert glauber(sd, g, (1, 1)) - glauber(sd, g, (2, 0)) == pytest.approx(n)
+    assert glauber(n, k, (1, 1)) - glauber(n, k, (2, 0)) == pytest.approx(n)
 
 
 def test_glauber_unsupported_order():
     with pytest.raises(ValueError):
-        glauber(equal_schmidt(2), gain_with_mean(0.1), (2, 1))
+        glauber(0.1, 2, (2, 1))
 
 
 # --- coincidence rates ---------------------------------------------------------
@@ -95,14 +76,6 @@ def test_rates_no_interference_term_reduces_to_independent_arms():
     assert r_min == pytest.approx(0.25 * auto * (e1**2 + e2**2)
                                   + 0.5 * (n + auto) * e1 * e2)
     assert r_max == pytest.approx((n + auto) * e1 * e2)
-
-
-def test_coincidence_rates_wrapper_matches_core():
-    sd = equal_schmidt(5)
-    g = gain_with_mean(0.3)
-    got = coincidence_rates(sd, g, DET, 0.8, 0.05)
-    want = rate_extrema(0.3, 5.0, 0.8, 0.05, DET.eta1, DET.eta2)
-    assert got == pytest.approx(want)
 
 
 # --- visibility models ----------------------------------------------------------
