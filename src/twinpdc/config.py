@@ -1,7 +1,7 @@
 """Sectioned key-value configuration files.
 
 One INI-style file feeds every command; sections: [device], [pump], [grid],
-[filter], [detection], [sim], [fit].  Command-line flags override file
+[filter], [detection], [sim].  Command-line flags override file
 values, and the effective configuration is echoed into output headers.  A
 bundled file carries the reference 2 mm AlGaAs Bragg-reflection waveguide
 device data.
@@ -10,13 +10,15 @@ import configparser
 from importlib import resources
 
 from .dispersion import DeviceSpec, device_spec
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .jsa import FilterSpec, FrequencyGrid, PumpSpec
 from .montecarlo import equal_mode_spectrum
 from .twinstats import DetectionSpec
 from .units import bandwidth_nm_to_angular, thz_to_angular
 
 DEFAULT_SUPERGAUSS_ORDER = 4
+DETECTION_KEYS = {"eta1": "eta1", "eta2": "eta2",  # DetectionSpec field -> [detection] key
+                  "dark_prob1": "dark_rate_1_hz", "dark_prob2": "dark_rate_2_hz"}
 
 
 def default_config_path():
@@ -150,23 +152,30 @@ def filter_from_config(cfg, device: DeviceSpec) -> FilterSpec | None:
     )
 
 
-def detection_from_config(cfg, gate_rate=None) -> DetectionSpec:
+def detection_from_config(cfg) -> DetectionSpec:
     """DetectionSpec from [detection]; dark rates in Hz become per-gate probabilities."""
-    if gate_rate is None:
-        gate_rate = gate_rate_from_config(cfg)
-    return DetectionSpec(
-        eta1=_get(cfg, "detection", "eta1", float, default=1.0),
-        eta2=_get(cfg, "detection", "eta2", float, default=1.0),
-        gate_rate=gate_rate,
-        dark_prob1=_get(cfg, "detection", "dark_rate_1_hz", float, default=0.0) / gate_rate,
-        dark_prob2=_get(cfg, "detection", "dark_rate_2_hz", float, default=0.0) / gate_rate,
-    )
+    gate_rate = gate_rate_from_config(cfg)
+    try:
+        return DetectionSpec(
+            eta1=_get(cfg, "detection", "eta1", float, default=1.0),
+            eta2=_get(cfg, "detection", "eta2", float, default=1.0),
+            gate_rate=gate_rate,
+            dark_prob1=_get(cfg, "detection", "dark_rate_1_hz", float, default=0.0) / gate_rate,
+            dark_prob2=_get(cfg, "detection", "dark_rate_2_hz", float, default=0.0) / gate_rate,
+        )
+    except ContractError as exc:  # the message starts with the rejected field
+        key = DETECTION_KEYS[str(exc).split()[0]]
+        raise ConfigError(f"bad value for [detection] {key}: {exc}") from exc
 
 
 def gate_rate_from_config(cfg) -> float:
-    rep = _get(cfg, "sim", "rep_rate_mhz", float, default=76.2) * 1e6
+    rep_mhz = _get(cfg, "sim", "rep_rate_mhz", float, default=76.2)
     divisor = _get(cfg, "sim", "gate_divisor", int, default=64)
-    return rep / divisor
+    if not rep_mhz > 0:
+        raise ConfigError(f"bad value for [sim] rep_rate_mhz: {rep_mhz} (must be > 0)")
+    if divisor < 1:
+        raise ConfigError(f"bad value for [sim] gate_divisor: {divisor} (must be >= 1)")
+    return rep_mhz * 1e6 / divisor
 
 
 def sim_from_config(cfg, seed=None, gates=None):
@@ -182,8 +191,6 @@ def sim_from_config(cfg, seed=None, gates=None):
                                                      default=1_000_000),
         seed=seed if seed is not None else _get(cfg, "sim", "seed", int,
                                                 default=20260809),
-        laser_rep_hz=_get(cfg, "sim", "rep_rate_mhz", float, default=76.2) * 1e6,
-        gate_divisor=_get(cfg, "sim", "gate_divisor", int, default=64),
     )
 
 

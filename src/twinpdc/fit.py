@@ -3,16 +3,17 @@
 The overlap O in [0, 1] is the sole shape parameter of the balanced
 visibility model V = (1 + O) / (3 - O + 4 n), so the weighted least-squares
 problem reduces to bounded scalar minimization (golden section with
-parabolic refinement).  The unbalanced model adds the arm-transmission ratio
-as an optional second bounded parameter.  Mean photon numbers are treated as
-exact abscissae; the reported standard error is statistical, from the
-chi-square curvature at the minimum.
+parabolic refinement).  The unbalanced model sees the arm-transmission ratio r
+only through the imbalance s = (r + 1/r) / 2, so r and 1/r fit equally well; a
+free ratio is one more bounded scalar minimization, of the profile over s.
+Mean photon numbers are treated as exact abscissae; the reported standard
+error is statistical, from the chi-square curvature in O at the minimum.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .errors import FitConvergenceError, IllPosedError
 from .twinstats import VisibilityPoint, visibility_approx, visibility_full
@@ -66,11 +67,14 @@ def _validate(points):
 def fit_overlap(points, model="approx", eta_ratio=None) -> FitResult:
     """Fit the overlap to visibility points by weighted least squares.
 
+    A free ratio minimizes the profile chi2(s) = min_O chi2(O, s) over
+    s in [1, (r_max + 1/r_max) / 2]; of the roots r and 1/r, r >= 1 is reported.
+
     Args:
         points: VisibilityPoint sequence (>= 3, spanning a mean_n range).
         model: 'approx' for the balanced formula, 'full' for the unbalanced one.
         eta_ratio: fixed transmission ratio for the full model; None fits it
-            as a second bounded parameter (ignored for 'approx').
+            through the imbalance s (ignored for 'approx').
 
     Returns:
         FitResult with the estimate, curvature standard error, per-point
@@ -78,51 +82,46 @@ def fit_overlap(points, model="approx", eta_ratio=None) -> FitResult:
 
     Raises:
         IllPosedError: on degenerate input.
-        FitConvergenceError: if the bounded minimization does not converge.
+        FitConvergenceError: if a bounded minimization does not converge.
     """
-    n, v, s = _validate(points)
-    fit_ratio = model == "full" and eta_ratio is None
-    ratio = 1.0 if eta_ratio is None else float(eta_ratio)
+    n, v, sd = _validate(points)
 
     def chi2(overlap, r):
-        return float(np.sum(((v - model_visibility(overlap, n, model, r)) / s) ** 2))
+        return float(np.sum(((v - model_visibility(overlap, n, model, r)) / sd) ** 2))
 
-    if fit_ratio:
-        # the (overlap, ratio) surface has a long shallow valley: multi-start
-        # with tight tolerances keeps the minimizer from stalling on it
-        candidates = []
-        for r0 in (0.5, 1.0, 2.0):
-            res = minimize(lambda p: chi2(p[0], p[1]), x0=(0.8, r0),
-                           bounds=[(0.0, 1.0), RATIO_BOUNDS], method="L-BFGS-B",
-                           options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 500})
-            if res.success:
-                candidates.append(res)
-        if not candidates:
-            raise FitConvergenceError("full-model fit failed from all starts",
-                                      trace=[res])
-        res = min(candidates, key=lambda r: r.fun)
-        best, ratio = float(res.x[0]), float(res.x[1])
-    else:
-        res = minimize_scalar(lambda o: chi2(o, ratio), bounds=(0.0, 1.0),
-                              method="bounded",
-                              options={"xatol": 1e-12, "maxiter": 500})
-        if not res.success:
-            raise FitConvergenceError(f"overlap fit failed: {res.message}",
-                                      trace=[res])
-        best = float(res.x)
+    def best_overlap(r):
+        return _bounded_minimum(lambda o: chi2(o, r), 0.0, 1.0)
 
-    # the bounded minimizer never lands exactly on a bound: snap and flag
+    def profile(imbalance):
+        r = _root_ratio(imbalance)
+        return chi2(best_overlap(r), r)
+
+    if model == "full" and eta_ratio is None:
+        r_max = RATIO_BOUNDS[1]
+        eta_ratio = _root_ratio(_bounded_minimum(profile, 1.0, 0.5 * (r_max + 1.0 / r_max)))
+    ratio = 1.0 if eta_ratio is None else float(eta_ratio)
+    best = best_overlap(ratio)
     at_boundary = best <= BOUNDARY_MARGIN or best >= 1.0 - BOUNDARY_MARGIN
-    if chi2(0.0, ratio) <= chi2(best, ratio):
-        best, at_boundary = 0.0, True
-    if chi2(1.0, ratio) <= chi2(best, ratio):
-        best, at_boundary = 1.0, True
-
     sigma = _curvature_sigma(lambda o: chi2(o, ratio), best)
     residuals = v - model_visibility(best, n, model, ratio)
     return FitResult(overlap=best, sigma=sigma, residuals=residuals,
                      chi_square=chi2(best, ratio), n_points=len(points),
                      model=model, eta_ratio=ratio, at_boundary=at_boundary)
+
+
+def _root_ratio(imbalance):
+    """The r >= 1 root of (r + 1/r) / 2 = imbalance."""
+    return imbalance + math.sqrt((imbalance - 1.0) * (imbalance + 1.0))
+
+
+def _bounded_minimum(f, lo, hi):
+    """Bounded Brent minimum of f on [lo, hi], snapped to a bound where f is no higher."""
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-12, "maxiter": 500})
+    if not res.success:
+        raise FitConvergenceError(f"bounded fit failed: {res.message}", trace=[res])
+    # the minimizer never lands exactly on a bound; ties go to the bound
+    return min((hi, lo, float(res.x)), key=f)
 
 
 def _curvature_sigma(chi2, best, step=1e-5):

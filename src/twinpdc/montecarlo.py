@@ -39,8 +39,7 @@ class SimConfig:
     """Simulation input: source spectrum, gain, detection and gating.
 
     source is the array of Schmidt coefficients lam_k, and the gain B must be
-    finite and nonnegative.  The gate rate is laser_rep_hz / gate_divisor and
-    must match det.gate_rate.
+    finite and nonnegative.  The gate rate is det.gate_rate.
     """
 
     source: np.ndarray
@@ -48,25 +47,16 @@ class SimConfig:
     det: DetectionSpec
     n_gates: int
     seed: int
-    laser_rep_hz: float = 76.2e6
-    gate_divisor: int = 64
 
     def __post_init__(self):
         if not 0.0 <= self.gain < math.inf:
             raise ConfigError(f"gain must be finite and nonnegative, got {self.gain}")
         if self.n_gates <= 0:
             raise ConfigError("n_gates must be positive")
-        if self.gate_divisor < 1:
-            raise ConfigError("gate divisor must be >= 1")
-        if abs(self.det.gate_rate - self.gate_rate) > 1e-6 * self.gate_rate:
-            raise ConfigError(
-                f"det.gate_rate {self.det.gate_rate:g} Hz inconsistent with "
-                f"laser_rep_hz/gate_divisor = {self.gate_rate:g} Hz"
-            )
 
     @property
     def gate_rate(self) -> float:
-        return self.laser_rep_hz / self.gate_divisor
+        return self.det.gate_rate
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -162,12 +152,14 @@ def efficiency_sweep(cfg: SimConfig, pump_powers, power_coefficient=1.0):
     """Simulate a pump-power sweep; gain scales as sqrt(coefficient * power).
 
     Each point runs cfg.n_gates gates on a decorrelated stream derived from
-    cfg.seed and the point index.
+    cfg.seed and the point index.  Every power is checked before the first
+    point is simulated.
     """
-    points = []
-    for idx, power in enumerate(pump_powers):
+    for power in pump_powers:
         if not 0.0 < power < math.inf:
             raise ConfigError(f"pump powers must be positive and finite, got {power}")
+    points = []
+    for idx, power in enumerate(pump_powers):
         gain = math.sqrt(power_coefficient * power)
         seed = (cfg.seed + (idx + 1) * 0x9E3779B97F4A7C15) % 2**64
         point_cfg = replace(cfg, gain=gain, seed=seed)

@@ -31,14 +31,14 @@ class DetectionSpec:
     dark_prob2: float = 0.0
 
     def __post_init__(self):
-        for eta in (self.eta1, self.eta2):
-            if not 0.0 <= eta <= 1.0:
-                raise ContractError(f"transmission {eta} outside [0, 1]")
+        for name in ("eta1", "eta2"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ContractError(f"{name} = {getattr(self, name)} outside [0, 1]")
         if self.gate_rate <= 0:
-            raise ContractError("gate rate must be positive")
-        for d in (self.dark_prob1, self.dark_prob2):
-            if not 0.0 <= d < 1.0:
-                raise ContractError(f"dark probability {d} outside [0, 1)")
+            raise ContractError(f"gate_rate = {self.gate_rate} must be positive")
+        for name in ("dark_prob1", "dark_prob2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ContractError(f"{name} = {getattr(self, name)} outside [0, 1)")
 
 
 @dataclass(frozen=True)

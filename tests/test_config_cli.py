@@ -222,6 +222,21 @@ def test_cli_montecarlo_nonfinite_input_exit_code(tmp_path, capsys, sim, extra):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, line, key", [
+    ("detection", "eta1 = 1.5", "[detection] eta1"),
+    ("detection", "dark_rate_1_hz = 5e6", "[detection] dark_rate_1_hz"),
+    ("sim", "rep_rate_mhz = -5", "[sim] rep_rate_mhz"),
+    ("sim", "gate_divisor = 0", "[sim] gate_divisor"),
+], ids=["eta1", "dark-rate", "rep-rate", "gate-divisor"])
+def test_cli_bad_detection_or_gate_value_exit_code(tmp_path, capsys, section, line, key):
+    path = write_cfg(tmp_path, MINIMAL + f"\n[{section}]\n{line}\n")
+    assert main(["montecarlo", "--config", path, "--gates", "1000",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert err.count("\n") == 1
+
+
 def test_cli_montecarlo_saturated_sweep_exit_code(tmp_path, capsys):
     """At power 1e6 every gate clicks in both arms, so C/A = 1 has no mean photon number."""
     args = ["montecarlo", "--gates", "1000", "--sweep", "0.1,1e6", "--out", str(tmp_path)]

@@ -4,7 +4,7 @@ import pytest
 
 from twinpdc import fit_overlap, model_visibility, visibility_approx
 from twinpdc.errors import IllPosedError
-from twinpdc.fit import points_from_arrays
+from twinpdc.fit import RATIO_BOUNDS, points_from_arrays
 from twinpdc.twinstats import VisibilityPoint
 
 N_GRID = np.linspace(0.05, 0.5, 12)
@@ -53,12 +53,42 @@ def test_full_model_fixed_ratio_round_trip():
 
 
 def test_full_model_fitted_ratio_round_trip():
-    pts = synthetic_points(0.9, model="full", eta_ratio=2.0)
-    res = fit_overlap(pts, model="full")
-    assert res.overlap == pytest.approx(0.9, abs=1e-3)
-    # the imbalance enters only through ratio + 1/ratio: both roots valid
-    assert res.eta_ratio == pytest.approx(2.0, abs=1e-2) or \
-        res.eta_ratio == pytest.approx(0.5, abs=2.5e-3)
+    """r and 1/r give the same data; the r >= 1 root is reported."""
+    for true_ratio in (2.0, 0.5):
+        res = fit_overlap(synthetic_points(0.9, model="full", eta_ratio=true_ratio),
+                          model="full")
+        assert res.overlap == pytest.approx(0.9, abs=1e-6)
+        assert res.eta_ratio == pytest.approx(2.0, abs=1e-6)
+        assert res.chi_square < 1e-12
+
+
+def test_free_ratio_fit_is_global_on_pinned_set():
+    """500 noisy sets, r ~ U[0.5, 2]: no failure and no chi2 above the fit at the true r."""
+    rng = np.random.default_rng(20260809)  # the bundled config's [sim] seed
+    for i in range(500):
+        ratio = rng.uniform(0.5, 2.0)
+        pts = synthetic_points((0.95, 0.816)[i % 2], rng=rng, model="full",
+                               eta_ratio=ratio)
+        res = fit_overlap(pts, model="full")
+        assert res.eta_ratio >= 1.0
+        assert res.chi_square <= fit_overlap(pts, "full", ratio).chi_square + 1e-9
+
+
+def test_ratio_profile_unimodal_on_random_datasets():
+    """The profile chi2(s) = min_O chi2(O, s) has a single minimum in the imbalance s."""
+    rng = np.random.default_rng(5)
+    r_max = RATIO_BOUNDS[1]
+    imbalance = np.linspace(1.0, 0.5 * (r_max + 1.0 / r_max), 201)
+    ratios = imbalance + np.sqrt(imbalance**2 - 1.0)
+    for _ in range(25):
+        n = np.sort(rng.uniform(0.02, 0.8, 8))
+        s = rng.uniform(0.005, 0.05, 8)
+        v = model_visibility(rng.uniform(0.0, 1.0), n, "full", rng.uniform(0.2, 5.0))
+        pts = points_from_arrays(n, v + rng.normal(0.0, s), s)
+        chi = np.array([fit_overlap(pts, "full", r).chi_square for r in ratios])
+        minima = np.flatnonzero((np.diff(np.sign(np.diff(chi))) > 0))
+        assert len(minima) <= 1
+        assert fit_overlap(pts, "full").chi_square <= chi.min() + 1e-9
 
 
 def test_balanced_full_model_matches_approx_fit():

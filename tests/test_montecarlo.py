@@ -27,12 +27,6 @@ def test_gate_rate_from_divided_laser():
     assert c.gate_rate == pytest.approx(1.190625e6)
 
 
-def test_inconsistent_gate_rate_rejected():
-    bad_det = DetectionSpec(eta1=0.1, eta2=0.1, gate_rate=2e6)
-    with pytest.raises(ConfigError, match="gate_rate"):
-        cfg(equal_mode_spectrum(5), 0.2, bad_det)
-
-
 def test_bit_exact_reproducibility():
     c = cfg(equal_mode_spectrum(10), 0.4, det(), gates=2_500_000, seed=42)
     assert simulate(c) == simulate(c)
@@ -209,6 +203,15 @@ def test_sweep_rejects_nonpositive_power():
     for bad in (-0.5, 0.0, math.nan, math.inf):
         with pytest.raises(ConfigError, match="pump powers"):
             efficiency_sweep(base, [0.1, bad])
+
+
+def test_sweep_checks_every_power_before_simulating(monkeypatch):
+    def never(_):
+        raise AssertionError("simulate called before the last power was checked")
+
+    monkeypatch.setattr("twinpdc.montecarlo.simulate", never)
+    with pytest.raises(ConfigError, match="pump powers"):
+        efficiency_sweep(cfg(equal_mode_spectrum(5), 1.0, det()), [0.1, 0.2, math.nan])
 
 
 def test_sweep_reproducible():
