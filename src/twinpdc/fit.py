@@ -7,7 +7,9 @@ parabolic refinement).  The unbalanced model sees the arm-transmission ratio r
 only through the imbalance s = (r + 1/r) / 2, so r and 1/r fit equally well; a
 free ratio is one more bounded scalar minimization, of the profile over s.
 Mean photon numbers are treated as exact abscissae; the reported standard
-error is statistical, from the chi-square curvature in O at the minimum.
+error is statistical, from the chi-square curvature in O at the minimum.  With
+a free ratio that curve is the profile min_s chi2(O, s), so sigma includes the
+uncertainty of the ratio.
 """
 import math
 from dataclasses import dataclass
@@ -69,6 +71,8 @@ def fit_overlap(points, model="approx", eta_ratio=None) -> FitResult:
 
     A free ratio minimizes the profile chi2(s) = min_O chi2(O, s) over
     s in [1, (r_max + 1/r_max) / 2]; of the roots r and 1/r, r >= 1 is reported.
+    Its sigma is the curvature of the other profile, P(O) = min_s chi2(O, s),
+    which is never narrower than the curve in O at the fitted s.
 
     Args:
         points: VisibilityPoint sequence (>= 3, spanning a mean_n range).
@@ -92,17 +96,25 @@ def fit_overlap(points, model="approx", eta_ratio=None) -> FitResult:
     def best_overlap(r):
         return _bounded_minimum(lambda o: chi2(o, r), 0.0, 1.0)
 
+    r_max = RATIO_BOUNDS[1]
+    max_imbalance = 0.5 * (r_max + 1.0 / r_max)
+
     def profile(imbalance):
         r = _root_ratio(imbalance)
         return chi2(best_overlap(r), r)
 
-    if model == "full" and eta_ratio is None:
-        r_max = RATIO_BOUNDS[1]
-        eta_ratio = _root_ratio(_bounded_minimum(profile, 1.0, 0.5 * (r_max + 1.0 / r_max)))
+    def best_imbalance(overlap):
+        return _bounded_minimum(lambda s: chi2(overlap, _root_ratio(s)), 1.0, max_imbalance)
+
+    free = model == "full" and eta_ratio is None
+    if free:
+        eta_ratio = _root_ratio(_bounded_minimum(profile, 1.0, max_imbalance))
     ratio = 1.0 if eta_ratio is None else float(eta_ratio)
     best = best_overlap(ratio)
     at_boundary = best <= BOUNDARY_MARGIN or best >= 1.0 - BOUNDARY_MARGIN
-    sigma = _curvature_sigma(lambda o: chi2(o, ratio), best)
+    curve = ((lambda o: chi2(o, _root_ratio(best_imbalance(o)))) if free
+             else (lambda o: chi2(o, ratio)))
+    sigma = _curvature_sigma(curve, best)
     residuals = v - model_visibility(best, n, model, ratio)
     return FitResult(overlap=best, sigma=sigma, residuals=residuals,
                      chi_square=chi2(best, ratio), n_points=len(points),

@@ -7,11 +7,16 @@ The normalized complex amplitude of a photon pair is assembled as
 with a Gaussian pump envelope exp(-(nu_s + nu_i)^2 / sigma^2), a
 phasematching factor sinc(L dk / 2) exp(i L dk / 2) (or its Gaussian
 approximation exp(-gamma L^2 dk^2 / 4) with the same phase), and N fixed by
-the discrete normalization sum |f|^2 dnu_s dnu_i = 1.  build_jsa fills one
-zero-initialized array in row tiles of about TILE_CELLS cells, so its peak
-memory stays near the size of the result, and evaluates each tile only in the
-pump band, where the pump envelope has not underflowed to 0.  No stored real or
-imaginary part is subnormal or -0: parts with |x| < TINY are stored as +0.
+the discrete normalization sum |f|^2 dnu_s dnu_i = 1.  That sum is defined
+row first: each signal row's sum_i |f|^2 is one whole-row sum, and the norm
+is the sum of those row weights.  Every |f|^2 reduction (the norm, the
+filter transmission, the marginals) reads |f|^2 in row tiles of about
+TILE_CELLS cells, so none allocates an array the size of the grid, and the
+bits do not depend on the tile size.  build_jsa fills one zero-initialized
+array in the same row tiles, so its peak memory stays near the size of the
+result, and evaluates each tile only in the pump band, where the pump
+envelope has not underflowed to 0.  No stored real or imaginary part is
+subnormal or -0: parts with |x| < TINY are stored as +0.
 
 Everything operates on detunings from the mode carriers; absolute axes are
 reconstructed only for display.  All transforms are pure and return new
@@ -36,7 +41,7 @@ MIN_POINTS_PER_WIDTH = 8
 # half-max factor for sinc^2: sinc(x)^2 = 1/2 at x = X_HALF_SINC_SQ
 X_HALF_SINC_SQ = 1.3915573
 
-# grid cells per row tile of build_jsa and apply_filter: the tile temporaries stay a few MiB
+# grid cells per row tile of every pass over a grid: the tile temporaries stay about 1 MiB
 TILE_CELLS = 1 << 16
 
 # exp(-x) underflows to exactly 0 for x above about 745.13, so the pump envelope
@@ -162,16 +167,16 @@ class JointAmplitude:
                 f"({self.grid.n_s}, {self.grid.n_i})"
             )
 
-    def intensity(self):
-        return np.abs(self.values) ** 2
-
     @property
     def cell_area(self):
         return self.grid.step_signal * self.grid.step_idler
 
     def norm_squared(self) -> float:
-        """Discrete norm sum |f|^2 dnu_s dnu_i."""
-        return float(np.sum(self.intensity()) * self.cell_area)
+        """Discrete norm sum |f|^2 dnu_s dnu_i, the sum of the row weights.
+
+        Its temporaries are one row tile and the n_s row weights.
+        """
+        return float(np.sum(_row_weights(self.values)) * self.cell_area)
 
     def check_normalized(self, tol=NORMALIZATION_TOL) -> float:
         """Return the discrete norm; raise ContractError if it is off 1 by more than tol."""
@@ -214,14 +219,31 @@ def _principal_widths(spec: DeviceSpec, pump: PumpSpec):
     return pump_width, min(pm_widths) if pm_widths else math.inf
 
 
-def _flush_tiny(values):
-    """Set every real or imaginary part with |x| < TINY (±0 and subnormals) to +0, in place.
+def _row_tiles(n_rows, n_cols):
+    """Row slices of about TILE_CELLS cells each (at least one row) covering n_rows rows."""
+    rows = max(1, TILE_CELLS // max(n_cols, 1))
+    return [slice(start, start + rows) for start in range(0, n_rows, rows)]
 
-    Works in row tiles of about TILE_CELLS cells, so its temporaries stay a few MiB.
+
+def _intensity_tiles(values):
+    """Yield (row slice, |f|^2 of those rows) over the grid, one row tile at a time."""
+    for rows in _row_tiles(*values.shape):
+        intensity = np.abs(values[rows])
+        yield rows, np.square(intensity, out=intensity)
+
+
+def _row_weights(values):
+    """Per-row sums sum_i |f[s, i]|^2, with O(tile + n_s) memory.
+
+    Each row is summed whole, so the bits do not depend on TILE_CELLS.
     """
-    rows = max(1, TILE_CELLS // max(values.shape[1], 1))
-    for start in range(0, values.shape[0], rows):
-        parts = values[start:start + rows].view(float)
+    return np.concatenate([np.sum(w, axis=1) for _, w in _intensity_tiles(values)])
+
+
+def _flush_tiny(values):
+    """Set every real or imaginary part with |x| < TINY (±0 and subnormals) to +0, in place."""
+    for rows in _row_tiles(*values.shape):
+        parts = values[rows].view(float)
         parts[np.abs(parts) < TINY] = 0.0
 
 
@@ -237,8 +259,10 @@ def build_jsa(spec: DeviceSpec, pump: PumpSpec, grid: FrequencyGrid,
     normalization every real or imaginary part with |x| < TINY, the ±0 and
     subnormal products of the underflowing envelope, is set to +0: a matrix
     product that reads subnormal operands runs 2-3.5x slower, and their squares
-    are already 0, so the norm does not change.  The result has the bits of the
-    dense formula f = pm * pump / N on the full grid under that mapping.
+    are already 0, so the norm does not change.  N is the row-sum norm of the
+    unnormalized grid (see norm_squared), so the only n_s x n_i array is the
+    result.  The result has the bits of the dense formula f = pm * pump / N on
+    the full grid under that mapping.
 
     Raises:
         ResolutionError: if the grid resolves the narrower of the pump and
@@ -255,12 +279,9 @@ def build_jsa(spec: DeviceSpec, pump: PumpSpec, grid: FrequencyGrid,
         )
     axis_s, axis_i = grid.axis_signal, grid.axis_idler
     values = np.zeros((grid.n_s, grid.n_i), dtype=complex)
-    intensity = np.zeros(values.shape)  # |f|^2 per cell: the norm is one np.sum over the grid
     reach = pump.sigma * math.sqrt(PUMP_UNDERFLOW)
     bands = []
-    rows = max(1, TILE_CELLS // grid.n_i)
-    for start in range(0, grid.n_s, rows):
-        tile = slice(start, start + rows)
+    for tile in _row_tiles(grid.n_s, grid.n_i):
         nu_s = axis_s[tile]
         # the pump envelope is exactly 0 where |nu_s + nu_i| > reach for every nu_s of the tile
         cols = slice(np.searchsorted(axis_i, -nu_s[-1] - reach, "left"),
@@ -269,9 +290,7 @@ def build_jsa(spec: DeviceSpec, pump: PumpSpec, grid: FrequencyGrid,
         nu_s, nu_i = np.meshgrid(nu_s, axis_i[cols], indexing="ij")
         np.multiply(pm_function(spec, nu_s, nu_i, approximation),
                     pump_envelope(pump, nu_s, nu_i), out=values[tile, cols])
-        np.square(np.abs(values[tile, cols], out=intensity[tile, cols]),
-                  out=intensity[tile, cols])
-    norm = math.sqrt(np.sum(intensity) * grid.step_signal * grid.step_idler)
+    norm = math.sqrt(np.sum(_row_weights(values)) * grid.step_signal * grid.step_idler)
     for tile, cols in bands:
         values[tile, cols] /= norm
         _flush_tiny(values[tile, cols])
@@ -281,8 +300,11 @@ def build_jsa(spec: DeviceSpec, pump: PumpSpec, grid: FrequencyGrid,
 def apply_filter(jsa: JointAmplitude, filt: FilterSpec):
     """Apply a band-pass filter and renormalize.
 
-    As in build_jsa, every real or imaginary part of the result with
-    |x| < TINY is stored as +0, so no filtered amplitude holds a subnormal.
+    The filter multiplies a copy of the amplitude in place, and the
+    transmitted fraction is the row-sum norm of the product (see
+    norm_squared), so the copy is the only n_s x n_i array.  As in build_jsa,
+    every real or imaginary part of the result with |x| < TINY is stored as
+    +0, so no filtered amplitude holds a subnormal.
 
     Returns:
         (filtered JointAmplitude, transmitted fraction), the fraction being
@@ -303,7 +325,7 @@ def apply_filter(jsa: JointAmplitude, filt: FilterSpec):
         values *= filt.amplitude(jsa.grid.axis_signal)[:, None]
     if filt.applies_to in ("idler", "both"):
         values *= filt.amplitude(jsa.grid.axis_idler)[None, :]
-    transmitted = float(np.sum(np.abs(values) ** 2) * jsa.cell_area)
+    transmitted = float(np.sum(_row_weights(values)) * jsa.cell_area)
     if transmitted < 1e-6:
         warnings.warn(
             f"filter transmits only {transmitted:.2e} of the intensity; "
@@ -316,11 +338,20 @@ def apply_filter(jsa: JointAmplitude, filt: FilterSpec):
 
 
 def marginals(jsa: JointAmplitude):
-    """Signal and idler marginal intensity densities, each integrating to 1."""
-    inten = jsa.intensity()
-    sig = inten.sum(axis=1) * jsa.grid.step_idler
-    idl = inten.sum(axis=0) * jsa.grid.step_signal
-    return sig, idl
+    """Signal and idler marginal intensity densities, each integrating to 1.
+
+    One pass over |f|^2 in row tiles, O(tile + n_s + n_i) memory.  The signal
+    marginal is the row weights of norm_squared times the idler step.  The
+    idler marginal adds the rows in order, tile after tile, which gives the
+    bits of one column sum over the whole grid.
+    """
+    sig = np.empty(jsa.grid.n_s)
+    idl = np.zeros(jsa.grid.n_i)
+    for rows, w in _intensity_tiles(jsa.values):
+        sig[rows] = np.sum(w, axis=1)
+        w[0] += idl  # the running column sums enter as the tile's first row
+        idl = np.sum(w, axis=0)
+    return sig * jsa.grid.step_idler, idl * jsa.grid.step_signal
 
 
 def fwhm(x, y):

@@ -102,7 +102,8 @@ def test_build_symmetric_construction():
     pump = PumpSpec(sigma=0.8)
     grid = FrequencyGrid.square(256, 4.0)
     jsa = build_jsa(spec, pump, grid)
-    assert np.allclose(jsa.intensity(), jsa.intensity().T, rtol=0, atol=1e-15)
+    intensity = np.abs(jsa.values) ** 2
+    assert np.allclose(intensity, intensity.T, rtol=0, atol=1e-15)
 
 
 def test_build_normalization():
@@ -136,11 +137,19 @@ def flushed(values):
 
 
 def reference_build_jsa(spec, pump, grid, approximation):
-    """Dense full-mesh formula, complex first, flushed; build_jsa must match its bits."""
+    """Dense full-mesh formula, complex first, flushed; build_jsa must match its bits.
+
+    The norm is the sum of whole-row sums of |f|^2, the definition of norm_squared.
+    """
     nu_s, nu_i = np.meshgrid(grid.axis_signal, grid.axis_idler, indexing="ij")
     values = pm_function(spec, nu_s, nu_i, approximation) * pump_envelope(pump, nu_s, nu_i)
-    norm = math.sqrt(np.sum(np.abs(values) ** 2) * grid.step_signal * grid.step_idler)
+    norm = math.sqrt(row_sum_norm(values) * grid.step_signal * grid.step_idler)
     return flushed(values / norm)
+
+
+def row_sum_norm(values):
+    """sum |f|^2 over the grid as the sum of whole-row sums, in full."""
+    return np.sum(np.sum(np.abs(values) ** 2, axis=1))
 
 
 @pytest.mark.parametrize("approx", ["sinc", "gaussian"])
@@ -202,18 +211,58 @@ def test_filter_zeros_are_stored_as_positive_zero():
     assert stray_tiny_parts(out.values) == 0
 
 
-def test_build_peak_memory_under_twice_the_result(bundled_config, device, pump):
-    """The traced peak of the bundled 2048^2 build stays under 2x its output
-    (a dense build with full meshes peaks at 4.5x)."""
-    grid = cfgmod.grid_from_config(bundled_config)
+def traced_peak(func, *args):
+    """(result, peak bytes that tracemalloc saw allocated while func ran)."""
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        jsa = build_jsa(device, pump, grid, cfgmod.approximation_from_config(bundled_config))
+        result = func(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * jsa.values.nbytes
+    return result, peak
+
+
+def test_build_peak_memory_near_the_result(bundled_config, device, pump):
+    """The traced peak of the bundled 2048^2 build stays under 1.1x its output
+    (a dense build with full meshes peaks at 4.5x, one with an n^2 |f|^2 array at 1.5x)."""
+    grid = cfgmod.grid_from_config(bundled_config)
+    jsa, peak = traced_peak(build_jsa, device, pump, grid,
+                            cfgmod.approximation_from_config(bundled_config))
+    assert peak < 1.1 * jsa.values.nbytes
+
+
+def test_filter_peak_memory_near_the_result(bundled_config, device, filter_base_jsa):
+    """Filtering holds one copy of the amplitude and row tiles: under 1.1x the output
+    (an n^2 |f|^2 array for the transmission peaks at 1.5x)."""
+    filt = cfgmod.filter_preset("sg40", device, bundled_config)
+    (out, _), peak = traced_peak(apply_filter, filter_base_jsa, filt)
+    assert peak < 1.1 * out.values.nbytes
+
+
+def test_norm_of_bundled_grid_allocates_under_2_mib(unfiltered_jsa):
+    """norm_squared reads |f|^2 in row tiles; an n^2 |f|^2 array would be 32 MiB."""
+    _, peak = traced_peak(unfiltered_jsa.norm_squared)
+    assert peak < 2 * 2**20
+
+
+def test_row_reductions_keep_their_bits_across_tile_sizes(monkeypatch, bundled_config,
+                                                         device, filter_base_jsa):
+    """The norm, the filter transmission and both marginals do not depend on TILE_CELLS,
+    and the marginals have the bits of the dense row and column sums of |f|^2."""
+    filt = cfgmod.filter_preset("sg40", device, bundled_config)
+    grid = filter_base_jsa.grid
+
+    def reductions():
+        sig, idl = marginals(filter_base_jsa)
+        return (np.array([filter_base_jsa.norm_squared(),
+                          apply_filter(filter_base_jsa, filt)[1]]), sig, idl)
+    default = reductions()
+    monkeypatch.setattr("twinpdc.jsa.TILE_CELLS", 2200)
+    assert all(map(same_bits, reductions(), default))
+    intensity = np.abs(filter_base_jsa.values) ** 2
+    assert same_bits(default[1], intensity.sum(axis=1) * grid.step_idler)
+    assert same_bits(default[2], intensity.sum(axis=0) * grid.step_signal)
 
 
 def test_bundled_device_linewidth_and_marginals(device, pump, unfiltered_jsa):
@@ -280,7 +329,7 @@ def test_filter_matches_dense_reference_bits(bundled_config, device, filter_base
     grid = filter_base_jsa.grid
     values = (filter_base_jsa.values * filt.amplitude(grid.axis_signal)[:, None]
               * filt.amplitude(grid.axis_idler)[None, :])
-    transmitted = float(np.sum(np.abs(values) ** 2) * filter_base_jsa.cell_area)
+    transmitted = float(row_sum_norm(values) * filter_base_jsa.cell_area)
     out, fraction = apply_filter(filter_base_jsa, filt)
     assert fraction == transmitted
     assert same_bits(out.values, flushed(values / math.sqrt(transmitted)))
