@@ -10,8 +10,8 @@ from .dispersion import DeviceSpec, DispersionTriple, delta_k, device_spec, pm_t
 from .jsa import (FilterSpec, FrequencyGrid, JointAmplitude, PumpSpec, apply_filter,
                   build_jsa, fwhm, jsi_linewidth, marginals, pm_function, pump_envelope)
 from .schmidt import (SchmidtData, decompose, delay_compensated_overlap, density_overlap,
-                      gain_for_mean_n, mode_means, schmidt_density_overlap,
-                      schmidt_spectral_overlap, spectral_overlap)
+                      gain_for_mean_n, mode_means, schmidt_spectral_overlap,
+                      spectral_overlap)
 from .twinstats import (CountRecord, DetectionSpec, KlyshkoEstimate, MeanPhotonEstimate,
                         VisibilityPoint, fringe_curve, glauber, klyshko, mean_n_from_cross,
                         rate_extrema, visibility_approx, visibility_from_rates,

@@ -14,9 +14,16 @@ filter transmission, the marginals) reads |f|^2 in row tiles of about
 TILE_CELLS cells, so none allocates an array the size of the grid, and the
 bits do not depend on the tile size.  build_jsa fills one zero-initialized
 array in the same row tiles, so its peak memory stays near the size of the
-result, and evaluates each tile only in the pump band, where the pump
-envelope has not underflowed to 0.  No stored real or imaginary part is
-subnormal or -0: parts with |x| < TINY are stored as +0.
+result.  The stored amplitude is the formula cut at the pump band: every
+cell where (nu_s + nu_i)^2 / sigma^2 > PUMP_CUT, i.e. where the pump
+envelope is below e^-40 of its peak, holds +0, and only the band is
+evaluated.  No stored real or imaginary part is subnormal or -0: parts with
+|x| < TINY are stored as +0.
+
+Each JointAmplitude finds its band once (JointAmplitude.band): the columns
+of each row whose bits are not +0, and the span of each block of BLOCK_ROWS
+rows.  The dump and every grid product of the schmidt module read only the
+band.
 
 Everything operates on detunings from the mode carriers; absolute axes are
 reconstructed only for display.  All transforms are pure and return new
@@ -24,7 +31,8 @@ values.
 """
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,9 +52,14 @@ X_HALF_SINC_SQ = 1.3915573
 # grid cells per row tile of every pass over a grid: the tile temporaries stay about 1 MiB
 TILE_CELLS = 1 << 16
 
-# exp(-x) underflows to exactly 0 for x above about 745.13, so the pump envelope
-# exp(-(s / sigma)^2) is exactly 0 once |s| > sigma sqrt(PUMP_UNDERFLOW)
-PUMP_UNDERFLOW = 746.0
+# build_jsa stores +0 where the pump envelope exp(-(s / sigma)^2) has (s / sigma)^2 > PUMP_CUT:
+# below e^-40, about 4e-18 of its peak, so each cut cell's weight is below e^-80 of the peak's
+PUMP_CUT = 40.0
+
+# grid rows per block of a band: a block's column span exceeds one row's band by about
+# BLOCK_ROWS columns on an anti-diagonal ridge, and the block stays tall enough for BLAS
+# to multiply at its full rate
+BLOCK_ROWS = 64
 
 # the smallest normal double: amplitude parts below it in magnitude are stored as +0
 TINY = np.finfo(float).tiny
@@ -153,6 +166,43 @@ class FilterSpec:
 
 
 @dataclass(frozen=True)
+class Band:
+    """Where a grid's bits are not +0.
+
+    Row r holds a cell that is not +0 only in the columns first[r]:end[r]
+    (first = n_i, end = 0 for a row of +0).  blocks lists, for each block of
+    BLOCK_ROWS rows that holds such a cell, its row slice and the span of its
+    rows' ranges; every other cell of the grid is +0.
+    """
+
+    first: np.ndarray
+    end: np.ndarray
+    blocks: tuple
+
+    def span(self, rows):
+        """The columns holding every cell of the rows that is not +0."""
+        return slice(int(self.first[rows].min()), int(self.end[rows].max()))
+
+
+def _find_band(values) -> Band:
+    """The Band of a grid, read in row tiles."""
+    n_s, n_i = values.shape
+    first, end = np.full(n_s, n_i), np.zeros(n_s, dtype=int)
+    for rows in _row_tiles(n_s, n_i):
+        bits = np.ascontiguousarray(values[rows], dtype=complex).view(np.uint64)
+        held = (bits[:, 0::2] | bits[:, 1::2]) != 0
+        some = held.any(axis=1)
+        first[rows] = np.where(some, held.argmax(axis=1), n_i)
+        end[rows] = np.where(some, n_i - held[:, ::-1].argmax(axis=1), 0)
+    blocks = []
+    for start in range(0, n_s, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        if np.any(end[rows] > first[rows]):
+            blocks.append((rows, slice(int(first[rows].min()), int(end[rows].max()))))
+    return Band(first=first, end=end, blocks=tuple(blocks))
+
+
+@dataclass(frozen=True)
 class JointAmplitude:
     """Complex joint amplitude sampled on a FrequencyGrid (rows = signal axis)."""
 
@@ -170,6 +220,11 @@ class JointAmplitude:
     @property
     def cell_area(self):
         return self.grid.step_signal * self.grid.step_idler
+
+    @cached_property
+    def band(self) -> Band:
+        """The Band of values, found on first use; values must not change after it."""
+        return _find_band(self.values)
 
     def norm_squared(self) -> float:
         """Discrete norm sum |f|^2 dnu_s dnu_i, the sum of the row weights.
@@ -251,18 +306,22 @@ def build_jsa(spec: DeviceSpec, pump: PumpSpec, grid: FrequencyGrid,
               approximation="sinc") -> JointAmplitude:
     """Assemble the normalized joint spectral amplitude on the grid.
 
-    The amplitude carries the full complex phase exp(i L dk / 2).  The pump
-    envelope is exactly 0 in double precision once |nu_s + nu_i| exceeds
-    sigma sqrt(PUMP_UNDERFLOW), so each row tile evaluates pm_function and
-    pump_envelope only on the columns within that reach of its rows; every
-    other cell stays +0 (about 80% of the bundled 2048^2 grid).  After the
-    normalization every real or imaginary part with |x| < TINY, the ±0 and
-    subnormal products of the underflowing envelope, is set to +0: a matrix
-    product that reads subnormal operands runs 2-3.5x slower, and their squares
-    are already 0, so the norm does not change.  N is the row-sum norm of the
-    unnormalized grid (see norm_squared), so the only n_s x n_i array is the
-    result.  The result has the bits of the dense formula f = pm * pump / N on
-    the full grid under that mapping.
+    The amplitude carries the full complex phase exp(i L dk / 2).  It is cut
+    at the pump band: every cell where (nu_s + nu_i)^2 / sigma^2 > PUMP_CUT,
+    i.e. where the pump envelope is below e^-40 of its peak, is +0.  The cut
+    is decided per cell, so the bits do not depend on TILE_CELLS.  Each row
+    tile evaluates pm_function and pump_envelope only on the columns within
+    sigma sqrt(PUMP_CUT) of its rows' anti-diagonal, and every other cell
+    stays +0 (about 93% of the bundled 2048^2 grid).  A cut cell's weight is
+    below e^-80 |pm|^2 / N^2, so the cut drops at most e^-80 cells max|pm|^2
+    dnu_s dnu_i / N^2 of the norm, under 1e-30 on the bundled grids.  N is
+    the row-sum norm of the cut grid (see norm_squared), so the only
+    n_s x n_i array is the result.  After the normalization every real or
+    imaginary part with |x| < TINY (±0 and subnormals) is set to +0: a matrix
+    product that reads subnormal operands runs 2-3.5x slower, and their
+    squares are already 0, so the norm does not change.  The result has the
+    bits of the dense formula f = pm * pump / N on the full grid, cut and
+    flushed in the same way.
 
     Raises:
         ResolutionError: if the grid resolves the narrower of the pump and
@@ -279,17 +338,19 @@ def build_jsa(spec: DeviceSpec, pump: PumpSpec, grid: FrequencyGrid,
         )
     axis_s, axis_i = grid.axis_signal, grid.axis_idler
     values = np.zeros((grid.n_s, grid.n_i), dtype=complex)
-    reach = pump.sigma * math.sqrt(PUMP_UNDERFLOW)
+    reach = pump.sigma * math.sqrt(PUMP_CUT)
     bands = []
     for tile in _row_tiles(grid.n_s, grid.n_i):
         nu_s = axis_s[tile]
-        # the pump envelope is exactly 0 where |nu_s + nu_i| > reach for every nu_s of the tile
-        cols = slice(np.searchsorted(axis_i, -nu_s[-1] - reach, "left"),
-                     np.searchsorted(axis_i, reach - nu_s[0], "right"))
+        # every cell of the tile with |nu_s + nu_i| <= reach, with one column to spare for rounding
+        cols = slice(max(np.searchsorted(axis_i, -nu_s[-1] - reach, "left") - 1, 0),
+                     np.searchsorted(axis_i, reach - nu_s[0], "right") + 1)
         bands.append((tile, cols))
         nu_s, nu_i = np.meshgrid(nu_s, axis_i[cols], indexing="ij")
+        cells = values[tile, cols]
         np.multiply(pm_function(spec, nu_s, nu_i, approximation),
-                    pump_envelope(pump, nu_s, nu_i), out=values[tile, cols])
+                    pump_envelope(pump, nu_s, nu_i), out=cells)
+        cells[((nu_s + nu_i) / pump.sigma) ** 2 > PUMP_CUT] = 0.0
     norm = math.sqrt(np.sum(_row_weights(values)) * grid.step_signal * grid.step_idler)
     for tile, cols in bands:
         values[tile, cols] /= norm
@@ -404,13 +465,14 @@ def dump_grid(jsa: JointAmplitude, path, header_lines=()):
     """Write the amplitude as a text header plus row-major 're im' pairs.
 
     Each double is printed with '%.17g', the shortest fixed-precision form
-    that reads back to the same bits, one 're im' pair per line.
+    that reads back to the same bits, one 're im' pair per line.  Each row's
+    band is one C-level %-format call, and the +0 cells on either side of it
+    are one slice of a preformatted row of '0 0' lines.
     """
     g = jsa.grid
-    # one signal row of n_i pairs per write: a single C-level %-format call
-    rows = np.ascontiguousarray(jsa.values, dtype=complex).view(float)
-    rows = rows.reshape(g.n_s, 2 * g.n_i)
-    row_format = "%.17g %.17g\n" * g.n_i
+    parts = np.ascontiguousarray(jsa.values, dtype=complex).view(float)
+    parts = parts.reshape(g.n_s, 2 * g.n_i)
+    band = jsa.band
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
@@ -418,8 +480,14 @@ def dump_grid(jsa: JointAmplitude, path, header_lines=()):
         fh.write(f"# normalized={jsa.normalized}\n")
         fh.write("# units: detuning rad/ps, amplitude (rad/ps)^-1; "
                  "row-major over (signal, idler); one 're im' pair per line\n")
-        for row in rows:
-            fh.write(row_format % tuple(row.tolist()))
+        zero_row = "0 0\n" * g.n_i
+        for row, lo, hi in zip(parts, band.first.tolist(), band.end.tolist()):
+            if lo >= hi:
+                fh.write(zero_row)
+                continue
+            fh.write(zero_row[:4 * lo])
+            fh.write("%.17g %.17g\n" * (hi - lo) % tuple(row[2 * lo:2 * hi].tolist()))
+            fh.write(zero_row[4 * hi:])
 
 
 def load_grid(path) -> JointAmplitude:

@@ -11,21 +11,29 @@ counts the excited pair modes; 1/K is the heralded single-photon purity.
 At gain B, mode k holds a thermal pair number of mean sinh^2(B lam_k)
 (mode_means), the one input of every multi-photon quantity.
 
-Two indistinguishability functionals are provided, each computable directly
-on the grid and through the Schmidt basis:
+Two indistinguishability functionals are computed on the grid:
 
     spectral overlap   O = int f(w, w') conj(f(w', w)) dw dw'
     density overlap    A = int g_s(w, w') g_i(w', w) dw dw'
 
-with g_s, g_i the single-beam spectral density kernels.  Delaying the signal
-by tau gives O(tau) = c_0 + 2 Re sum_{d>0} c_d exp(i tau d dnu) on the grid, with
-lag sums c_d = sum_m f[m + d, m] conj(f[m, m + d]) dnu^2: real, of period 2 pi / dnu,
+with g_s, g_i the single-beam spectral density kernels; O also through the
+Schmidt basis (schmidt_spectral_overlap).  Delaying the signal by tau gives
+O(tau) = c_0 + 2 Re sum_{d>0} c_d exp(i tau d dnu) on the grid, with lag sums
+c_d = sum_m f[m + d, m] conj(f[m, m + d]) dnu^2: real, of period 2 pi / dnu,
 O = O(0); delay_compensated_overlap maximizes |O(tau)| globally over a range.
+
+Every grid computation here reads only the amplitude's band, which each
+JointAmplitude finds once (JointAmplitude.band): the products of decompose
+and density_overlap multiply only the column span of each block of BLOCK_ROWS
+rows, and the lag sums read only the stretch of each diagonal that crosses
+the band.  Every cell outside the band is +0, so each result is
+that of the dense grid.
 """
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import minimize_scalar
 
 from .errors import ContractError, GridShapeError, RangeError
@@ -35,11 +43,6 @@ DEFAULT_RANK_CUTOFF = 1e-6
 SKETCH_KEY = 0  # Philox key of decompose's Gaussian sketch
 POWER_ITERATIONS = 2  # decompose's first count; more are added as the spectral gap needs
 POLISH_XATOL = 1e-9  # ps, the delay search's final bounded polish
-
-# grid rows per block of the banded products: a block's column span exceeds one row's
-# band by about BLOCK_ROWS columns on an anti-diagonal ridge, and the block stays
-# tall enough for BLAS to multiply at its full rate
-BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -105,61 +108,47 @@ class SchmidtData:
         return (self.signal_modes * lam[None, :]) @ self.idler_modes.T
 
 
-class _Banded:
-    """Products with a grid f that multiply only its nonzero blocks.
+def _dot(f: JointAmplitude, x):
+    """f @ x, multiplying only the blocks of f's band."""
+    out = np.zeros((f.values.shape[0], x.shape[1]), dtype=np.result_type(f.values, x))
+    for rows, cols in f.band.blocks:
+        np.matmul(f.values[rows, cols], x[cols], out=out[rows])
+    return out
 
-    Each row's nonzero column range is read from f != 0, so the products are
-    exact for any grid.  Blocks of BLOCK_ROWS rows are cut to the span of their
-    rows' ranges, and all-zero blocks are skipped; on a dense grid the products
-    are the plain f @ x and f.T @ y.
+
+def _tdot(f: JointAmplitude, y):
+    """f.T @ y, multiplying only the blocks of f's band."""
+    out = np.zeros((f.values.shape[1], y.shape[1]), dtype=np.result_type(f.values, y))
+    for rows, cols in f.band.blocks:
+        out[cols] += f.values[rows, cols].T @ y[rows]
+    return out
+
+
+def _lu_basis(a):
+    """A basis of range(a): the row-permuted unit lower factor of its partially pivoted LU.
+
+    a = P L U, so range(a) lies in range(P L), which has full column rank.
     """
-
-    def __init__(self, values):
-        self.values = values
-        n = values.shape[1]
-        first, end, self.blocks = [], [], []
-        for start in range(0, values.shape[0], BLOCK_ROWS):
-            nonzero = values[start:start + BLOCK_ROWS] != 0
-            held = nonzero.any(axis=1)
-            first.append(np.where(held, nonzero.argmax(axis=1), n))
-            end.append(np.where(held, n - nonzero[:, ::-1].argmax(axis=1), 0))
-            if held.any():
-                self.blocks.append((slice(start, start + BLOCK_ROWS),
-                                    slice(int(first[-1].min()), int(end[-1].max()))))
-        # row r is nonzero only in the columns first[r]:end[r]
-        self.first, self.end = np.concatenate(first), np.concatenate(end)
-
-    def span(self, rows):
-        """The columns holding every nonzero of f[rows]."""
-        return slice(int(self.first[rows].min()), int(self.end[rows].max()))
-
-    def dot(self, x):
-        """f @ x."""
-        out = np.zeros((self.values.shape[0], x.shape[1]), dtype=np.result_type(self.values, x))
-        for rows, cols in self.blocks:
-            np.matmul(self.values[rows, cols], x[cols], out=out[rows])
-        return out
-
-    def tdot(self, y):
-        """f.T @ y."""
-        out = np.zeros((self.values.shape[1], y.shape[1]), dtype=np.result_type(self.values, y))
-        for rows, cols in self.blocks:
-            out[cols] += self.values[rows, cols].T @ y[rows]
-        return out
+    return scipy.linalg.lu(a, permute_l=True, overwrite_a=True, check_finite=False)[0]
 
 
 def _sketch_basis(f, width):
-    """Orthonormal basis of f Omega, Omega an n_i x width complex Gaussian from SKETCH_KEY."""
+    """A basis of f Omega, Omega an n_i x width complex Gaussian from SKETCH_KEY."""
     rng = np.random.Generator(np.random.Philox(key=SKETCH_KEY))
     omega = rng.standard_normal((f.values.shape[1], 2 * width)).view(complex)
-    return np.linalg.qr(f.dot(omega))[0]
+    return _lu_basis(_dot(f, omega))
 
 
 def _power_iterate(f, q, iterations):
-    """Subspace iteration q <- orth(f orth(f^dag q)), re-orthonormalized by QR each side."""
+    """Subspace iteration q <- f f^dag q, LU-normalized each side; orthonormal at the end.
+
+    Halko, Martinsson & Tropp (2011), Sec. 4.5: LU keeps the column space of
+    each iterate at a fraction of the cost of QR; only the final basis is
+    orthonormalized.
+    """
     for _ in range(iterations):
-        q = np.linalg.qr(f.dot(np.linalg.qr(f.tdot(q.conj()).conj())[0]))[0]
-    return q
+        q = _lu_basis(_dot(f, _lu_basis(_tdot(f, q.conj()).conj())))
+    return np.linalg.qr(q)[0]
 
 
 def _projected_schmidt(f, q, ds, di, norm_squared):
@@ -167,7 +156,7 @@ def _projected_schmidt(f, q, ds, di, norm_squared):
 
     The SVD is of (Q^dag f)^T = f^T conj(Q), the form BLAS multiplies fastest.
     """
-    u, s, vh = np.linalg.svd(f.tdot(q.conj()), full_matrices=False)
+    u, s, vh = np.linalg.svd(_tdot(f, q.conj()), full_matrices=False)
     lam = s * math.sqrt(ds * di)
     return SchmidtData(
         coefficients=lam,
@@ -198,17 +187,21 @@ def decompose(jsa: JointAmplitude, rank_cutoff=DEFAULT_RANK_CUTOFF) -> SchmidtDa
     """Schmidt-decompose a normalized joint amplitude by a certified randomized SVD.
 
     A Gaussian sketch of width l (Halko, Martinsson & Tropp, SIAM Rev. 53, 217
-    (2011), Alg. 4.4) gives an orthonormal Q, n_s x l, after q power iterations,
-    and the SVD of the small Q^dag f gives lam_j and the modes.  The kept part
-    of Q Q^dag F, F = f sqrt(dnu_s dnu_i), is an orthogonal projection of F, so
-    for any Q the weight it leaves out is exactly ||F||^2 - sum_{j<=k} lam_j^2
-    (ibid. Sec. 4.3), with ||F||^2 the pairwise sum the normalization check
-    takes, not the assumed 1, which that check lets be off by 1e-6.
-    truncated(rank_cutoff) keeps the fewest modes whose left-out weight is at
-    most rank_cutoff, so the squared reconstruction error is the reported
-    residual, certified whatever the sketch.  The sketch sets only how accurate
-    the kept lam_j and modes are, and three rules read off the same spectrum
-    decide when it is accurate enough:
+    (2011), Alg. 4.4) and q power iterations give a basis of f (f^dag f)^q
+    Omega.  The sketch and every inner iterate are normalized by an LU with
+    partial pivoting (ibid. Sec. 4.5), which keeps their column space at a
+    quarter of the cost of QR, and the final basis gets one QR: the
+    orthonormal Q, n_s x l.  The SVD of the small Q^dag f gives lam_j and the
+    modes.  The kept part of Q Q^dag F, F = f sqrt(dnu_s dnu_i), is an
+    orthogonal projection of F, so for any Q the weight it leaves out is
+    exactly ||F||^2 - sum_{j<=k} lam_j^2 (ibid. Sec. 4.3), with ||F||^2 the
+    pairwise sum the normalization check takes, not the assumed 1, which that
+    check lets be off by 1e-6.  truncated(rank_cutoff) keeps the fewest modes
+    whose left-out weight is at most rank_cutoff, so the squared
+    reconstruction error is the reported residual, certified whatever the
+    sketch.  The sketch sets only how accurate the kept lam_j and modes are,
+    and three rules read off the same spectrum decide when it is accurate
+    enough:
 
     - oversampling margin: the k kept modes leave at least l/8 of the l
       columns spare, which keeps the Gaussian sketch's constant bounded (ibid.
@@ -228,11 +221,12 @@ def decompose(jsa: JointAmplitude, rank_cutoff=DEFAULT_RANK_CUTOFF) -> SchmidtDa
     range of f: that pass is exact, needs no iterations and ends the loop.
 
     All three kinds of product with f (the sketch f Omega, the power
-    iterations and f^T conj(Q)) multiply only the nonzero column span of each
-    block of BLOCK_ROWS rows and skip all-zero blocks (_Banded).  The bundled
-    2048^2 amplitude is nonzero only in a band of about a fifth of its columns
-    around the anti-diagonal, so each product costs about a fifth of the dense
-    one; on a dense grid it is the plain product.
+    iterations and f^T conj(Q)) multiply only the column span of each block
+    of the amplitude's band and skip the blocks of +0 (JointAmplitude.band).
+    The bundled 2048^2 amplitude is nonzero in about 6% of its cells, around
+    the anti-diagonal, and the block spans cover about 9%, so each product
+    costs about a tenth of the dense one; on a dense grid it is the plain
+    product.
 
     Raises:
         ContractError: if the input is not normalized.
@@ -240,15 +234,14 @@ def decompose(jsa: JointAmplitude, rank_cutoff=DEFAULT_RANK_CUTOFF) -> SchmidtDa
     if not jsa.normalized:
         raise ContractError("decompose requires a normalized JointAmplitude")
     norm_squared = jsa.check_normalized(tol=1e-6)
-    f = _Banded(jsa.values)
     ds, di = jsa.grid.step_signal, jsa.grid.step_idler
     full = min(jsa.values.shape)
     width = max(full // 4, 1)
     while True:
         iterations = 0 if width == full else POWER_ITERATIONS
-        q = _power_iterate(f, _sketch_basis(f, width), iterations)
+        q = _power_iterate(jsa, _sketch_basis(jsa, width), iterations)
         while True:
-            sketch = _projected_schmidt(f, q, ds, di, norm_squared)
+            sketch = _projected_schmidt(jsa, q, ds, di, norm_squared)
             kept = sketch.truncated(rank_cutoff)
             if width == full:
                 return kept
@@ -258,7 +251,7 @@ def decompose(jsa: JointAmplitude, rank_cutoff=DEFAULT_RANK_CUTOFF) -> SchmidtDa
                 break
             if needed <= iterations:
                 return kept
-            q = _power_iterate(f, q, needed - iterations)
+            q = _power_iterate(jsa, q, needed - iterations)
             iterations = needed
         width = min(2 * width, full)
 
@@ -290,10 +283,27 @@ def _require_square(jsa: JointAmplitude):
 
 
 def _lag_sums(jsa: JointAmplitude):
-    """Lag sums c_d, d = 0 .. n - 1, c_0 halved: O(tau) = 2 Re sum_d c_d exp(i tau d dnu)."""
+    """Lag sums c_d, d = 0 .. n - 1, c_0 halved: O(tau) = 2 Re sum_d c_d exp(i tau d dnu).
+
+    c_d = sum_m conj(f[m, m + d]) f[m + d, m] reads each diagonal d only on
+    lo[d] <= m < hi[d], the hull of the m whose cell (m, m + d) lies in a
+    block of the band; every other pair holds a +0.
+    """
     _require_square(jsa)
     f = jsa.values
-    c = np.array([np.vdot(np.diagonal(f, d), np.diagonal(f, -d)) for d in range(len(f))])
+    n = len(f)
+    d = np.arange(n)
+    lo, hi = np.full(n, n), np.zeros(n, dtype=int)
+    for rows, cols in jsa.band.blocks:
+        start = np.maximum(rows.start, cols.start - d)
+        stop = np.minimum(min(rows.stop, n), cols.stop - d)
+        held = start < stop
+        np.minimum(lo, np.where(held, start, n), out=lo)
+        np.maximum(hi, np.where(held, stop, 0), out=hi)
+    c = np.zeros(n, dtype=complex)
+    for k in np.flatnonzero(lo < hi):
+        m = slice(lo[k], hi[k])
+        c[k] = np.vdot(np.diagonal(f, k)[m], np.diagonal(f, -k)[m])
     c[0] /= 2.0
     return c * jsa.cell_area
 
@@ -344,15 +354,15 @@ def density_overlap(jsa: JointAmplitude) -> float:
     g_i = F^dag F, and trace(g_s g_i) = ||F conj(F)||_F^2 = ||f conj(f)||_F^2
     (dnu_s dnu_i)^2, on the amplitude as stored; real in [0, 1], bounded by
     the purity 1/K.  The product is accumulated over blocks of BLOCK_ROWS rows
-    r: the block f[r] conj(f) is f[r, c] conj(f[c, b]), with c the block's
-    nonzero column span and b the span of the rows c, so all-zero blocks are
-    never multiplied.
+    r of the amplitude's band: the block f[r] conj(f) is f[r, c] conj(f[c, b]),
+    with c the block's column span and b the span of the rows c, so blocks
+    of +0 are never multiplied.
     """
     _require_square(jsa)
-    f = _Banded(jsa.values)
+    f, band = jsa.values, jsa.band
     total = 0.0
-    for rows, cols in f.blocks:
-        product = f.values[rows, cols] @ f.values[cols, f.span(cols)].conj()
+    for rows, cols in band.blocks:
+        product = f[rows, cols] @ f[cols, band.span(cols)].conj()
         total += np.vdot(product, product).real
     return float(total) * jsa.cell_area**2
 
@@ -369,9 +379,3 @@ def schmidt_spectral_overlap(sd: SchmidtData) -> float:
     cross_pi = sd.signal_modes.conj().T @ sd.idler_modes * sd.step_idler
     return float(np.sum(np.outer(lam, lam) * cross_ip * cross_pi).real)
 
-
-def schmidt_density_overlap(sd: SchmidtData) -> float:
-    """Density overlap through the Schmidt basis: sum lam_n^2 lam_k^2 |<phi_n, psi_k>|^2."""
-    lam2 = sd.coefficients**2
-    cross = sd.signal_modes.conj().T @ sd.idler_modes * sd.step_signal
-    return float(np.real(np.sum(np.outer(lam2, lam2) * np.abs(cross) ** 2)))

@@ -72,3 +72,14 @@ def separable_jsa(n=128, span=5.0, width_s=1.0, width_i=1.0, center_s=0.0,
     values = np.outer(gs, gi).astype(complex)
     norm = np.sqrt(np.sum(np.abs(values) ** 2) * grid.step_signal * grid.step_idler)
     return JointAmplitude(grid=grid, values=values / norm, normalized=True)
+
+
+def chirped_jsa(n_s=24, n_i=40, span_s=3.0, span_i=2.5):
+    """Normalized non-separable complex amplitude, by default on a non-square grid."""
+    from twinpdc import JointAmplitude
+
+    grid = FrequencyGrid(n_s, n_i, span_s, span_i)
+    nu_s, nu_i = np.meshgrid(grid.axis_signal, grid.axis_idler, indexing="ij")
+    values = np.exp(-(nu_s + nu_i) ** 2 - 0.3 * (nu_s - nu_i) ** 2 + 1j * nu_s * nu_i)
+    values /= np.sqrt(np.sum(np.abs(values) ** 2) * grid.step_signal * grid.step_idler)
+    return JointAmplitude(grid=grid, values=values, normalized=True)

@@ -13,10 +13,10 @@ from twinpdc import (FilterSpec, FrequencyGrid, PumpSpec, apply_filter, build_js
 from twinpdc import config as cfgmod
 from twinpdc.dispersion import delta_k
 from twinpdc.errors import ConfigError, ContractError, RangeError, ResolutionError
-from twinpdc.jsa import TILE_CELLS, JointAmplitude, dump_grid, load_grid
+from twinpdc.jsa import PUMP_CUT, TILE_CELLS, JointAmplitude, dump_grid, load_grid
 from twinpdc.units import angular_to_thz, bandwidth_nm_to_angular
 
-from conftest import separable_jsa
+from conftest import chirped_jsa, separable_jsa
 
 
 def symmetric_spec(length=500.0, kappa=-2.0e-3):
@@ -136,13 +136,22 @@ def flushed(values):
     return parts.view(complex)
 
 
-def reference_build_jsa(spec, pump, grid, approximation):
-    """Dense full-mesh formula, complex first, flushed; build_jsa must match its bits.
-
-    The norm is the sum of whole-row sums of |f|^2, the definition of norm_squared.
-    """
+def uncut_formula(spec, pump, grid, approximation):
+    """(pm * pump on the full mesh, complex first, the mesh's nu_s, nu_i)."""
     nu_s, nu_i = np.meshgrid(grid.axis_signal, grid.axis_idler, indexing="ij")
-    values = pm_function(spec, nu_s, nu_i, approximation) * pump_envelope(pump, nu_s, nu_i)
+    return (pm_function(spec, nu_s, nu_i, approximation) * pump_envelope(pump, nu_s, nu_i),
+            nu_s, nu_i)
+
+
+def reference_build_jsa(spec, pump, grid, approximation):
+    """Dense full-mesh formula, cut per cell at the pump band, normalized and flushed;
+    build_jsa must match its bits.
+
+    The cut sets +0 wherever (nu_s + nu_i)^2 / sigma^2 > PUMP_CUT.  The norm is the
+    sum of whole-row sums of |f|^2 over the cut grid, the definition of norm_squared.
+    """
+    values, nu_s, nu_i = uncut_formula(spec, pump, grid, approximation)
+    values[((nu_s + nu_i) / pump.sigma) ** 2 > PUMP_CUT] = 0.0
     norm = math.sqrt(row_sum_norm(values) * grid.step_signal * grid.step_idler)
     return flushed(values / norm)
 
@@ -167,8 +176,8 @@ def test_tiled_build_matches_dense_reference_bits(monkeypatch, device, pump, app
 
 
 def test_build_evaluates_only_the_pump_band(monkeypatch, bundled_config, device, pump):
-    """On the bundled 2048^2 grid the phasematching factor is evaluated on under 30%
-    of the cells, and the result still has the bits of the flushed dense formula."""
+    """On the bundled 2048^2 grid the phasematching factor is evaluated on under 10%
+    of the cells, and the result still has the bits of the cut, flushed dense formula."""
     grid = cfgmod.grid_from_config(bundled_config)
     approx = cfgmod.approximation_from_config(bundled_config)
     evaluated = []
@@ -178,8 +187,24 @@ def test_build_evaluates_only_the_pump_band(monkeypatch, bundled_config, device,
         return pm_function(spec, nu_s, nu_i, approximation)
     monkeypatch.setattr("twinpdc.jsa.pm_function", counting)
     values = build_jsa(device, pump, grid, approx).values
-    assert sum(evaluated) < 0.3 * grid.n_s * grid.n_i
+    assert sum(evaluated) < 0.1 * grid.n_s * grid.n_i
     assert same_bits(values, reference_build_jsa(device, pump, grid, approx))
+
+
+def test_pump_cut_drops_under_its_analytic_bound(device, pump):
+    """The cut drops the weight of the cells where the pump envelope is below e^-40:
+    at most e^-80 cells max|pm|^2 dnu_s dnu_i / N^2, N^2 the uncut grid's weight."""
+    grid = FrequencyGrid.square(400, 8.0 * pump.sigma)
+    values, nu_s, nu_i = uncut_formula(device, pump, grid, "sinc")
+    cut = ((nu_s + nu_i) / pump.sigma) ** 2 > PUMP_CUT
+    intensity = np.abs(values) ** 2
+    norm_squared = row_sum_norm(values) * grid.step_signal * grid.step_idler
+    dropped = np.sum(intensity[cut]) * grid.step_signal * grid.step_idler / norm_squared
+    pm_peak = np.max(np.abs(pm_function(device, nu_s, nu_i, "sinc")) ** 2)
+    bound = (math.exp(-2.0 * PUMP_CUT) * values.size * pm_peak
+             * grid.step_signal * grid.step_idler / norm_squared)
+    assert 0.0 < dropped <= bound
+    assert dropped < 1e-30
 
 
 def stray_tiny_parts(values):
@@ -416,13 +441,40 @@ def reference_dump(jsa, path, header_lines=()):
             fh.write(f"{val.real:.17g} {val.imag:.17g}\n")
 
 
-def chirped_jsa(n_s=24, n_i=40):
-    """Normalized non-separable complex amplitude on a non-square grid."""
-    grid = FrequencyGrid(n_s, n_i, 3.0, 2.5)
-    nu_s, nu_i = np.meshgrid(grid.axis_signal, grid.axis_idler, indexing="ij")
-    values = np.exp(-(nu_s + nu_i) ** 2 - 0.3 * (nu_s - nu_i) ** 2 + 1j * nu_s * nu_i)
-    values /= math.sqrt(np.sum(np.abs(values) ** 2) * grid.step_signal * grid.step_idler)
-    return JointAmplitude(grid=grid, values=values, normalized=True)
+def row_format_dump(jsa, path, header_lines=()):
+    """The whole-row writer that preceded the banded one: one %-format call per row."""
+    g = jsa.grid
+    rows = np.ascontiguousarray(jsa.values, dtype=complex).view(float)
+    rows = rows.reshape(g.n_s, 2 * g.n_i)
+    row_format = "%.17g %.17g\n" * g.n_i
+    with open(path, "w") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write(f"# n_s={g.n_s} n_i={g.n_i} span_s={g.span_s!r} span_i={g.span_i!r}\n")
+        fh.write(f"# normalized={jsa.normalized}\n")
+        fh.write("# units: detuning rad/ps, amplitude (rad/ps)^-1; "
+                 "row-major over (signal, idler); one 're im' pair per line\n")
+        for row in rows:
+            fh.write(row_format % tuple(row.tolist()))
+
+
+def test_banded_dump_matches_row_writer_bytes(tmp_path):
+    """Rows of +0, -0 and subnormal parts, +0 inside a band and cells on both band
+    edges keep the bytes of the whole-row writer, and load back bit for bit."""
+    values = np.zeros((7, 9), dtype=complex)
+    values[0, 0] = complex(-0.0, 0.0)  # -0 alone holds a band of one cell
+    values[2, 3], values[2, 6] = complex(5e-324, -5e-324), complex(0.0, -0.0)
+    values[2, 5] = 0.25  # +0 at columns 4 inside the band 3:7
+    values[5, 8], values[6, 0], values[6, 8] = 1.5 - 2.0j, -1e-300, 3.0
+    jsa = JointAmplitude(grid=FrequencyGrid(7, 9, 1.0, 2.0), values=values)
+    assert jsa.band.first.tolist() == [0, 9, 3, 9, 9, 8, 0]
+    assert jsa.band.end.tolist() == [1, 0, 7, 0, 0, 9, 9]
+    dump_grid(jsa, tmp_path / "fast.txt", header_lines=["edges"])
+    row_format_dump(jsa, tmp_path / "rows.txt", header_lines=["edges"])
+    text = (tmp_path / "fast.txt").read_text()
+    assert text == (tmp_path / "rows.txt").read_text()
+    assert "\n-0 0\n" in text and "\n0 -0\n" in text
+    assert same_bits(load_grid(tmp_path / "fast.txt").values, values)
 
 
 def same_bits(a, b):
@@ -441,7 +493,9 @@ def test_dump_and_load_roundtrip(tmp_path):
 
 def test_dump_matches_reference_writer_bytes(tmp_path, device, pump):
     sinc = build_jsa(device, pump, FrequencyGrid(48, 64, 2.0, 3.0))
-    for jsa in (separable_jsa(n=32, span=3.0), chirped_jsa(), sinc):
+    cut = build_jsa(device, pump, FrequencyGrid(128, 160, 6.0, 6.0))
+    assert np.any(cut.band.first > 0) and np.any(cut.band.end < cut.grid.n_i)
+    for jsa in (separable_jsa(n=32, span=3.0), chirped_jsa(), sinc, cut):
         dump_grid(jsa, tmp_path / "fast.txt", header_lines=["a", "b c"])
         reference_dump(jsa, tmp_path / "ref.txt", header_lines=["a", "b c"])
         assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()

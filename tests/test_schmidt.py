@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from twinpdc import (DetectionSpec, FrequencyGrid, JointAmplitude, SchmidtData, SimConfig,
                      apply_filter, decompose, delay_compensated_overlap, density_overlap,
-                     gain_for_mean_n, mode_means, schmidt, schmidt_density_overlap,
-                     schmidt_spectral_overlap, spectral_overlap)
+                     gain_for_mean_n, mode_means, schmidt, schmidt_spectral_overlap,
+                     spectral_overlap)
 from twinpdc.errors import ConfigError, ContractError, GridShapeError, RangeError
+from twinpdc.jsa import BLOCK_ROWS
 
-from conftest import gaussian_mode, separable_jsa
+from conftest import chirped_jsa, gaussian_mode, separable_jsa
 
 
 def two_mode_jsa(weights=(math.sqrt(0.8), math.sqrt(0.2)), n=256, span=6.0):
@@ -211,6 +212,20 @@ def test_overlap_lag_sums_equal_dense(unfiltered_jsa):
     assert spectral_overlap(unfiltered_jsa) == pytest.approx(dense, abs=1e-12)
 
 
+@pytest.mark.parametrize("case", ["bundled", "dense", "zero-rows", "chirped"])
+def test_lag_sums_equal_full_diagonal_sums(unfiltered_jsa, case):
+    """The lag sums read only the in-band stretch of each diagonal pair."""
+    jsa = {**product_cases(unfiltered_jsa),
+           "dense": on_grid(np.random.default_rng(5).standard_normal((150, 300)).view(complex)),
+           "chirped": chirped_jsa(40, 40, 3.0, 3.0)}[case]
+    f = jsa.values
+    full = np.array([np.vdot(np.diagonal(f, d), np.diagonal(f, -d)) for d in range(len(f))])
+    full[0] /= 2.0
+    full *= jsa.cell_area
+    c = schmidt._lag_sums(jsa)
+    assert np.max(np.abs(c - full)) <= 1e-15 * np.max(np.abs(full))
+
+
 def test_overlap_global_phase_invariant():
     jsa = two_mode_jsa()
     rotated = JointAmplitude(grid=jsa.grid, values=jsa.values * np.exp(0.7j),
@@ -304,6 +319,13 @@ def test_density_overlap_rank_one():
     assert density_overlap(separable_jsa()) == pytest.approx(1.0, abs=1e-9)
 
 
+def schmidt_density_overlap(sd):
+    """Density overlap through the Schmidt basis: sum lam_n^2 lam_k^2 |<phi_n, psi_k>|^2."""
+    lam2 = sd.coefficients**2
+    cross = sd.signal_modes.conj().T @ sd.idler_modes * sd.step_signal
+    return float(np.real(np.sum(np.outer(lam2, lam2) * np.abs(cross) ** 2)))
+
+
 def test_density_overlap_two_paths_and_purity_bound(
         bundled_config, device, filter_base_jsa):
     from twinpdc.config import filter_preset
@@ -326,28 +348,33 @@ def banded_grid(n_s, n_i, half_width, zero_rows=(), seed=7):
     return values
 
 
+def on_grid(values):
+    """values on a grid of their shape with equal spans (not normalized)."""
+    return JointAmplitude(grid=FrequencyGrid(*values.shape, 3.0, 3.0), values=values)
+
+
 def product_cases(unfiltered_jsa):
-    rows = schmidt.BLOCK_ROWS
+    rows = BLOCK_ROWS
     rng = np.random.default_rng(3)
     return {
-        "bundled": unfiltered_jsa.values,
-        "dense": rng.standard_normal((300, 600)).view(complex),
-        "zero-rows": banded_grid(4 * rows, 4 * rows, 20,
-                                 zero_rows=[0, 5, *range(rows, 2 * rows)]),
-        "non-square": banded_grid(3 * rows + 17, 150, 12),
+        "bundled": unfiltered_jsa,
+        "dense": on_grid(rng.standard_normal((300, 600)).view(complex)),
+        "zero-rows": on_grid(banded_grid(4 * rows, 4 * rows, 20,
+                                            zero_rows=[0, 5, *range(rows, 2 * rows)])),
+        "non-square": on_grid(banded_grid(3 * rows + 17, 150, 12)),
     }
 
 
 @pytest.mark.parametrize("case", ["bundled", "dense", "zero-rows", "non-square"])
 def test_banded_products_match_dense(unfiltered_jsa, case):
-    f = product_cases(unfiltered_jsa)[case]
-    band = schmidt._Banded(f)
+    jsa = product_cases(unfiltered_jsa)[case]
+    f, band = jsa.values, jsa.band
     rng = np.random.default_rng(11)
     x = rng.standard_normal((f.shape[1], 16)).view(complex)
     y = rng.standard_normal((f.shape[0], 16)).view(complex)
-    for banded, dense in ((band.dot(x), f @ x), (band.tdot(y), f.T @ y)):
+    for banded, dense in ((schmidt._dot(jsa, x), f @ x), (schmidt._tdot(jsa, y), f.T @ y)):
         assert np.max(np.abs(banded - dense)) <= 1e-13 * np.max(np.abs(dense))
-    blocks = -(-f.shape[0] // schmidt.BLOCK_ROWS)
+    blocks = -(-f.shape[0] // BLOCK_ROWS)
     multiplied = sum(f[rows, cols].size for rows, cols in band.blocks)
     if case == "dense":
         assert multiplied == f.size
@@ -355,6 +382,7 @@ def test_banded_products_match_dense(unfiltered_jsa, case):
         assert multiplied < 0.5 * f.size
     if case == "zero-rows":
         assert len(band.blocks) == blocks - 1  # the all-zero block is skipped
+    assert jsa.band is band  # found once
 
 
 @settings(max_examples=40, deadline=None)
