@@ -6,7 +6,7 @@ from its dispersion data, quantifies the twin-beam indistinguishability
 multi-photon emission, and estimates source figures of merit from gated
 count records, with a Monte Carlo click simulator as the estimators' oracle.
 """
-from .dispersion import DeviceSpec, DispersionTriple, delta_k, device_spec, pm_tilt_deviation
+from .dispersion import DeviceSpec, delta_k, device_spec, pm_tilt_deviation
 from .jsa import (FilterSpec, FrequencyGrid, JointAmplitude, PumpSpec, apply_filter,
                   build_jsa, fwhm, jsi_linewidth, marginals, pm_function, pump_envelope)
 from .schmidt import (SchmidtData, decompose, delay_compensated_overlap, density_overlap,

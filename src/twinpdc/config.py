@@ -63,15 +63,10 @@ def device_from_config(cfg) -> DeviceSpec:
     group velocities, which keeps the representation exactly consistent.
     """
     sec = "device"
-    pump_center = thz_to_angular(_get(cfg, sec, "pump_center_thz", float, required=True))
-    signal_center = _get(cfg, sec, "signal_center_thz", float)
-    idler_center = _get(cfg, sec, "idler_center_thz", float)
     return device_spec(
+        pump_center=thz_to_angular(_get(cfg, sec, "pump_center_thz", float, required=True)),
         length_um=_get(cfg, sec, "length_um", float, required=True),
         gamma=_get(cfg, sec, "gamma", float, required=True),
-        pump_center=pump_center,
-        signal_center=None if signal_center is None else thz_to_angular(signal_center),
-        idler_center=None if idler_center is None else thz_to_angular(idler_center),
         vg_p=_get(cfg, sec, "vg_p", float),
         vg_s=_get(cfg, sec, "vg_s", float),
         vg_i=_get(cfg, sec, "vg_i", float),

@@ -1,17 +1,19 @@
 """Device dispersion data and phase-mismatch evaluation.
 
 A waveguide source is described by its length, the width factor of the
-Gaussian phasematching approximation, the carrier (expansion) frequencies of
-pump, signal and idler, and one dispersion triple per mode.  The phase
-mismatch is evaluated from its second-order expansion in the detunings
-nu = omega - omega0:
+Gaussian phasematching approximation, the pump carrier frequency and the
+expansion coefficients of the phase mismatch.  The twin-mode detunings
+nu = omega - omega_p / 2 are taken from the degenerate point pump_center/2,
+and the phase mismatch is evaluated from its second-order expansion in them:
 
     dk(nu_s, nu_i) = kappa_s nu_s + kappa_i nu_i
                      + lambda_s nu_s^2 + lambda_i nu_i^2 - lambda_p nu_s nu_i
 
 with kappa the group-velocity mismatch against the pump (1/v_g - 1/v_g,p, in
 ps/um) and the lambda coefficients carrying the group-velocity dispersion
-(ps^2/um).  All functions here are pure and safe to call concurrently.
+(ps^2/um).  A non-finite field, a nonpositive length or pump frequency and a
+gamma outside (0, 1) are ConfigErrors.  All functions here are pure and safe
+to call concurrently.
 """
 import math
 from dataclasses import dataclass
@@ -23,50 +25,6 @@ from .units import thz_to_wavelength_nm, angular_to_thz
 # group-velocity representation, ps/um
 KAPPA_CONSISTENCY_TOL = 1e-9
 
-# tolerance for pump_center = signal_center + idler_center, rad/ps
-ENERGY_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class DispersionTriple:
-    """Dispersion data for one mode.
-
-    Attributes:
-        group_velocity: group velocity in um/ps, or None if only kappa is known.
-        lambda_coeff: quadratic expansion coefficient in ps^2/um.
-        kappa: group-velocity mismatch to the pump in ps/um (None for the
-            pump mode, for which it is not defined).
-    """
-
-    group_velocity: float | None
-    lambda_coeff: float
-    kappa: float | None = None
-
-
-def _resolve_kappa(mode: DispersionTriple, pump: DispersionTriple, label: str) -> float:
-    """Return kappa for a twin mode, deriving it from group velocities if needed.
-
-    When both representations are supplied they must agree to
-    KAPPA_CONSISTENCY_TOL; a rounded datasheet value mixed with exact velocities will be
-    rejected rather than silently preferring one.
-    """
-    derived = None
-    if mode.group_velocity is not None and pump.group_velocity is not None:
-        if mode.group_velocity <= 0 or pump.group_velocity <= 0:
-            raise ConfigError(f"group velocities must be positive ({label})")
-        derived = 1.0 / mode.group_velocity - 1.0 / pump.group_velocity
-    if mode.kappa is not None:
-        if derived is not None and abs(mode.kappa - derived) > KAPPA_CONSISTENCY_TOL:
-            raise ConfigError(
-                f"kappa_{label} = {mode.kappa:g} inconsistent with group "
-                f"velocities (1/v_g - 1/v_g,p = {derived:.9g}); supply one "
-                "representation only or make them agree"
-            )
-        return mode.kappa
-    if derived is None:
-        raise ConfigError(f"mode {label}: neither kappa nor group velocities supplied")
-    return derived
-
 
 @dataclass(frozen=True)
 class DeviceSpec:
@@ -76,46 +34,29 @@ class DeviceSpec:
         length_um: interaction length L.
         gamma: width factor of the Gaussian phasematching approximation.
         pump_center: pump expansion frequency omega0_p in rad/ps.
-        signal_center, idler_center: twin-mode expansion frequencies in rad/ps.
-        pump, signal, idler: dispersion triples; signal/idler kappa resolved
-            at construction.
+        kappa_s, kappa_i: group-velocity mismatches to the pump in ps/um.
+        lambda_p, lambda_s, lambda_i: quadratic expansion coefficients in ps^2/um.
     """
 
     length_um: float
     gamma: float
     pump_center: float
-    signal_center: float
-    idler_center: float
-    pump: DispersionTriple
-    signal: DispersionTriple
-    idler: DispersionTriple
+    kappa_s: float
+    kappa_i: float
+    lambda_p: float
+    lambda_s: float
+    lambda_i: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.length_um <= 0:
             raise ConfigError("length_um must be positive")
+        if self.pump_center <= 0:
+            raise ConfigError("pump_center must be positive")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError("gamma must lie in (0, 1)")
-        if abs(self.pump_center - self.signal_center - self.idler_center) > ENERGY_TOL:
-            raise ConfigError(
-                "energy conservation violated at the expansion point: "
-                f"pump_center != signal_center + idler_center "
-                f"({self.pump_center:g} vs {self.signal_center + self.idler_center:g})"
-            )
-        # resolve kappas once; frozen dataclass, so go through object.__setattr__
-        ks = _resolve_kappa(self.signal, self.pump, "s")
-        ki = _resolve_kappa(self.idler, self.pump, "i")
-        object.__setattr__(self, "signal", DispersionTriple(self.signal.group_velocity,
-                                                            self.signal.lambda_coeff, ks))
-        object.__setattr__(self, "idler", DispersionTriple(self.idler.group_velocity,
-                                                           self.idler.lambda_coeff, ki))
-
-    @property
-    def kappa_s(self) -> float:
-        return self.signal.kappa
-
-    @property
-    def kappa_i(self) -> float:
-        return self.idler.kappa
 
     @property
     def degeneracy_wavelength_nm(self) -> float:
@@ -127,30 +68,43 @@ class DeviceSpec:
         return self.length_um * (self.kappa_s - self.kappa_i)
 
 
-def device_spec(length_um, gamma, pump_center, *, signal_center=None, idler_center=None,
-                vg_p=None, vg_s=None, vg_i=None, kappa_s=None, kappa_i=None,
+def _kappa(vg, vg_p, kappa, label) -> float:
+    """Return kappa for a twin mode, deriving it from group velocities if needed.
+
+    When both representations are supplied they must agree to
+    KAPPA_CONSISTENCY_TOL; a rounded datasheet value mixed with exact velocities will be
+    rejected rather than silently preferring one.
+    """
+    derived = None
+    if vg is not None and vg_p is not None:
+        if not (vg > 0 and vg_p > 0):
+            raise ConfigError(f"group velocities must be positive ({label})")
+        derived = 1.0 / vg - 1.0 / vg_p
+    if kappa is not None:
+        if derived is not None and abs(kappa - derived) > KAPPA_CONSISTENCY_TOL:
+            raise ConfigError(
+                f"kappa_{label} = {kappa:g} inconsistent with group "
+                f"velocities (1/v_g - 1/v_g,p = {derived:.9g}); supply one "
+                "representation only or make them agree"
+            )
+        return kappa
+    if derived is None:
+        raise ConfigError(f"mode {label}: neither kappa nor group velocities supplied")
+    return derived
+
+
+def device_spec(length_um, gamma, pump_center, *, vg_p=None, vg_s=None, vg_i=None,
+                kappa_s=None, kappa_i=None,
                 lambda_p=0.0, lambda_s=0.0, lambda_i=0.0) -> DeviceSpec:
     """Convenience factory mirroring the config-file keys.
 
-    Frequencies are angular (rad/ps).  Twin-mode centers default to the
-    degenerate point pump_center/2 each.
+    Frequencies are angular (rad/ps).  Each kappa is either given or derived
+    from the group velocities as 1/v_g - 1/v_g,p.
     """
-    if signal_center is None and idler_center is None:
-        signal_center = idler_center = pump_center / 2.0
-    elif signal_center is None:
-        signal_center = pump_center - idler_center
-    elif idler_center is None:
-        idler_center = pump_center - signal_center
-    return DeviceSpec(
-        length_um=length_um,
-        gamma=gamma,
-        pump_center=pump_center,
-        signal_center=signal_center,
-        idler_center=idler_center,
-        pump=DispersionTriple(vg_p, lambda_p),
-        signal=DispersionTriple(vg_s, lambda_s, kappa_s),
-        idler=DispersionTriple(vg_i, lambda_i, kappa_i),
-    )
+    return DeviceSpec(length_um=length_um, gamma=gamma, pump_center=pump_center,
+                      kappa_s=_kappa(vg_s, vg_p, kappa_s, "s"),
+                      kappa_i=_kappa(vg_i, vg_p, kappa_i, "i"),
+                      lambda_p=lambda_p, lambda_s=lambda_s, lambda_i=lambda_i)
 
 
 def delta_k(spec: DeviceSpec, nu_s, nu_i):
@@ -159,9 +113,9 @@ def delta_k(spec: DeviceSpec, nu_s, nu_i):
     Accepts scalars or broadcastable arrays of detunings in rad/ps.
     """
     return (spec.kappa_s * nu_s + spec.kappa_i * nu_i
-            + spec.signal.lambda_coeff * nu_s**2
-            + spec.idler.lambda_coeff * nu_i**2
-            - spec.pump.lambda_coeff * nu_s * nu_i)
+            + spec.lambda_s * nu_s**2
+            + spec.lambda_i * nu_i**2
+            - spec.lambda_p * nu_s * nu_i)
 
 
 def pm_tilt_deviation(spec: DeviceSpec) -> float:

@@ -72,8 +72,8 @@ class PumpSpec:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ConfigError("pump sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ConfigError(f"pump sigma must be positive and finite, got {self.sigma}")
 
     @classmethod
     def from_fwhm_nm(cls, fwhm_nm, center_nm):
@@ -103,8 +103,9 @@ class FrequencyGrid:
     def __post_init__(self):
         if self.n_s < 2 or self.n_i < 2:
             raise ConfigError("grid needs at least 2 points per axis")
-        if self.span_s <= 0 or self.span_i <= 0:
-            raise ConfigError("grid spans must be positive")
+        if not (0.0 < self.span_s < math.inf and 0.0 < self.span_i < math.inf):
+            raise ConfigError(f"grid spans must be positive and finite, "
+                              f"got {self.span_s}, {self.span_i}")
 
     @classmethod
     def square(cls, n, span):
@@ -149,8 +150,11 @@ class FilterSpec:
     def __post_init__(self):
         if self.shape not in ("gaussian", "supergaussian", "rectangular"):
             raise ConfigError(f"unknown filter shape {self.shape!r}")
-        if self.bandwidth <= 0:
-            raise ConfigError("filter bandwidth must be positive")
+        if not 0.0 < self.bandwidth < math.inf:
+            raise ConfigError(f"filter bandwidth must be positive and finite, "
+                              f"got {self.bandwidth}")
+        if not math.isfinite(self.center):
+            raise ConfigError(f"filter center must be finite, got {self.center}")
         if self.order < 1:
             raise ConfigError("supergaussian order must be >= 1")
         if self.applies_to not in ("signal", "idler", "both"):

@@ -54,14 +54,6 @@ class SimConfig:
         if self.n_gates <= 0:
             raise ConfigError("n_gates must be positive")
 
-    @property
-    def gate_rate(self) -> float:
-        return self.det.gate_rate
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return np.asarray(self.source, dtype=float)
-
 
 def _outcome_probabilities(means, det: DetectionSpec) -> np.ndarray:
     """Per-gate probabilities of (both click, signal only, idler only, neither).
@@ -97,7 +89,7 @@ def simulate(cfg: SimConfig) -> CountRecord:
     Warns when the strongest mode exceeds a per-gate mean of 0.9 pairs, where
     click saturation invalidates the low-gain estimator checks.
     """
-    means = mode_means(cfg.coefficients, cfg.gain)
+    means = mode_means(cfg.source, cfg.gain)
     if means.max(initial=0.0) > SATURATION_MEAN:
         warnings.warn(
             f"strongest mode mean {means.max():.3g} > {SATURATION_MEAN}: "
@@ -110,7 +102,7 @@ def simulate(cfg: SimConfig) -> CountRecord:
         cfg.n_gates, _outcome_probabilities(means, cfg.det))
     return CountRecord(gates=cfg.n_gates, singles_signal=int(both + signal_only),
                        singles_idler=int(both + idler_only), coincidences=int(both),
-                       gate_rate=cfg.gate_rate)
+                       gate_rate=cfg.det.gate_rate)
 
 
 def exact_click_probabilities(lambdas, gain, det: DetectionSpec):

@@ -208,9 +208,40 @@ def test_cli_visibility_curve(tmp_path, capsys):
     assert "0.333333" in capsys.readouterr().out
 
 
-def test_cli_visibility_bad_range(tmp_path):
-    assert main(["visibility", "--overlap", "0.5", "--mean-n", "oops",
-                 "--out", str(tmp_path)]) == 2
+def test_cli_visibility_bad_range(tmp_path, capsys):
+    for mean_n in ("oops", "0:0.5:0"):  # malformed, empty
+        assert main(["visibility", "--overlap", "0.5", "--mean-n", mean_n,
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad --mean-n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("old, new, args", [
+    ("fwhm_nm = 0.25", "fwhm_nm = nan", ["overlap"]),
+    ("fwhm_nm = 0.25", "fwhm_nm = inf", ["overlap"]),
+    ("length_um = 2000.0", "length_um = nan", ["overlap"]),
+    ("lambda_p = 5.74e-6", "lambda_p = inf", ["overlap"]),
+    ("[pump]", "[filter]\nshape = gaussian\nbandwidth_nm = nan\n[pump]",
+     ["overlap", "--filter", "custom"]),
+    ("[pump]", "[filter]\nshape = gaussian\nbandwidth_nm = 12\ncenter_radps = nan\n[pump]",
+     ["overlap", "--filter", "custom"]),
+    ("[pump]", "[grid]\nspan_thz = nan\n[pump]", ["jsa"]),
+    ("", "", ["jsa", "--grid", "64,nan"]),
+], ids=["pump-nan", "pump-inf", "length-nan", "lambda-inf", "filter-nan",
+        "filter-center-nan", "grid-nan", "grid-flag-nan"])
+def test_cli_nonfinite_spec_value_exit_code(tmp_path, capsys, old, new, args):
+    path = write_cfg(tmp_path, MINIMAL.replace(old, new))
+    assert main([*args, "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_cli_degenerate_dispersion_exit_code(tmp_path, capsys):
+    """vg_i = vg_p gives kappa_i = 0, so the tilt angle is undefined: a numeric error."""
+    path = write_cfg(tmp_path, MINIMAL.replace("vg_i = 90.4", "vg_i = 74.0"))
+    assert main(["jsa", "--config", path, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: kappa_i = 0") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("sim, extra", [("gain = nan", []), ("gain = inf", []),

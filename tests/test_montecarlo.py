@@ -22,11 +22,6 @@ def cfg(source, gain, detection, gates=1_000_000, seed=11):
                      seed=seed)
 
 
-def test_gate_rate_from_divided_laser():
-    c = cfg(equal_mode_spectrum(5), 0.2, det())
-    assert c.gate_rate == pytest.approx(1.190625e6)
-
-
 def test_bit_exact_reproducibility():
     c = cfg(equal_mode_spectrum(10), 0.4, det(), gates=2_500_000, seed=42)
     assert simulate(c) == simulate(c)
