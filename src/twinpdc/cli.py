@@ -205,13 +205,22 @@ def cmd_schmidt(args):
 
 def cmd_visibility(args):
     cfg, _ = _load(args)
+    # each comparison is False for NaN
+    if not -1.0 <= args.overlap <= 1.0:
+        raise ConfigError(f"bad --overlap {args.overlap!r}: needs a value in [-1, 1]")
+    for flag, eta in (("--eta1", args.eta1), ("--eta2", args.eta2)):
+        if not 0.0 < eta <= 1.0:
+            raise ConfigError(f"bad {flag} {eta!r}: needs a value in (0, 1]")
     try:
         start, stop, num = args.mean_n.split(":")
-        grid = np.linspace(float(start), float(stop), int(num))
+        start, stop, num = float(start), float(stop), int(num)
     except ValueError as exc:
         raise ConfigError(f"bad --mean-n {args.mean_n!r}") from exc
-    if grid.size == 0:
+    if not (0.0 <= start < math.inf and 0.0 <= stop < math.inf):
+        raise ConfigError(f"bad --mean-n {args.mean_n!r}: the bounds need finite values >= 0")
+    if num <= 0:
         raise ConfigError(f"bad --mean-n {args.mean_n!r}: the range is empty")
+    grid = np.linspace(start, stop, num)
     vis = [visibility_full(args.overlap, n, args.eta1, args.eta2) for n in grid]
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "visibility.csv")

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
+from .brent import bounded_brent
 from .errors import FitConvergenceError, IllPosedError
 from .twinstats import VisibilityPoint, visibility_approx, visibility_full
 
@@ -128,12 +128,12 @@ def _root_ratio(imbalance):
 
 def _bounded_minimum(f, lo, hi):
     """Bounded Brent minimum of f on [lo, hi], snapped to a bound where f is no higher."""
-    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12, "maxiter": 500})
-    if not res.success:
-        raise FitConvergenceError(f"bounded fit failed: {res.message}", trace=[res])
+    x, fx, converged = bounded_brent(f, lo, hi, xatol=1e-12)
+    if not converged:
+        raise FitConvergenceError(f"bounded fit on [{lo}, {hi}] did not converge: "
+                                  f"f({x}) = {fx}", trace=[(x, fx)])
     # the minimizer never lands exactly on a bound; ties go to the bound
-    return min((hi, lo, float(res.x)), key=f)
+    return min((hi, lo, float(x)), key=f)
 
 
 def _curvature_sigma(chi2, best, step=1e-5):

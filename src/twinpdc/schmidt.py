@@ -33,9 +33,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import minimize_scalar
 
+from .brent import bounded_brent
 from .errors import ContractError, GridShapeError, RangeError
 from .jsa import JointAmplitude
 
@@ -129,6 +128,7 @@ def _lu_basis(a):
 
     a = P L U, so range(a) lies in range(P L), which has full column rank.
     """
+    import scipy.linalg  # here, so that only a decompose loads scipy, not `import twinpdc`
     return scipy.linalg.lu(a, permute_l=True, overwrite_a=True, check_finite=False)[0]
 
 
@@ -341,10 +341,9 @@ def delay_compensated_overlap(jsa: JointAmplitude, tau_range):
     taus = np.concatenate(([lo, hi], ks * step))
     scores = np.concatenate(([magnitude(lo), magnitude(hi)], scan[ks % scan.size]))
     best, tau = float(np.max(scores)), float(taus[np.argmax(scores)])
-    res = minimize_scalar(lambda t: -magnitude(t), method="bounded",
-                          bounds=(max(lo, tau - step), min(hi, tau + step)),
-                          options={"xatol": POLISH_XATOL})
-    return (float(res.x), float(-res.fun)) if -res.fun > best else (tau, best)
+    x, fx, _ = bounded_brent(lambda t: -magnitude(t), max(lo, tau - step),
+                             min(hi, tau + step), xatol=POLISH_XATOL)
+    return (float(x), float(-fx)) if -fx > best else (tau, best)
 
 
 def density_overlap(jsa: JointAmplitude) -> float:

@@ -2,6 +2,9 @@
 import csv
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +219,20 @@ def test_cli_visibility_bad_range(tmp_path, capsys):
         assert err.startswith("config error: bad --mean-n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--overlap", "nan"], "--overlap"),
+    (["--overlap", "5"], "--overlap"),
+    (["--overlap", "0.5", "--eta1", "nan"], "--eta1"),
+    (["--overlap", "0.5", "--eta1", "1.5"], "--eta1"),
+    (["--overlap", "0.5", "--mean-n", "nan:1:3"], "--mean-n"),
+], ids=["overlap-nan", "overlap-5", "eta1-nan", "eta1-1.5", "mean-n-nan"])
+def test_cli_visibility_bad_number_writes_nothing(tmp_path, capsys, flags, named):
+    assert main(["visibility", *flags, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad {named} ") and err.count("\n") == 1
+    assert not (tmp_path / "visibility.csv").exists()
+
+
 @pytest.mark.parametrize("old, new, args", [
     ("fwhm_nm = 0.25", "fwhm_nm = nan", ["overlap"]),
     ("fwhm_nm = 0.25", "fwhm_nm = inf", ["overlap"]),
@@ -372,3 +389,48 @@ def test_cli_report_skip_montecarlo_drops_tagged_rows(two_row_table, capsys):
     assert main(["report", "--skip-montecarlo"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["[PASS] always one: 1 (allowed 0 .. 2)", "1/1 checks passed"]
+
+
+LIGHT_COMMANDS_SCRIPT = """
+import sys
+
+from twinpdc.cli import main
+
+points, out = sys.argv[1:]
+for argv in (["montecarlo", "--gates", "20000", "--out", out], ["fit", points, "--out", out],
+             ["visibility", "--overlap", "0.9", "--out", out]):
+    assert main(argv) == 0, argv
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+assert not loaded, f"loaded {loaded}"
+
+import numpy as np
+from twinpdc import FrequencyGrid, JointAmplitude, decompose
+
+grid = FrequencyGrid.square(64, 4.0)
+g = np.exp(-grid.axis_signal ** 2)
+values = np.outer(g, g).astype(complex)
+values /= np.sqrt(np.sum(np.abs(values) ** 2) * grid.step_signal * grid.step_idler)
+decompose(JointAmplitude(grid=grid, values=values, normalized=True))
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_cli_light_commands_load_no_scipy(tmp_path):
+    """montecarlo, fit and visibility run on numpy alone; decompose loads scipy.linalg.
+
+    A fresh interpreter, since this one has imported scipy already.
+    """
+    import twinpdc
+    from twinpdc.fit import points_from_arrays
+    from twinpdc.twinstats import visibility_approx, write_visibility_points
+
+    grid = np.linspace(0.05, 0.5, 10)
+    points = str(tmp_path / "points.csv")
+    write_visibility_points(points, points_from_arrays(grid, visibility_approx(0.9, grid),
+                                                       np.full(10, 0.01)))
+    src = str(Path(twinpdc.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", LIGHT_COMMANDS_SCRIPT, points, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
