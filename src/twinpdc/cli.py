@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Subcommands: jsa | overlap | schmidt | visibility | montecarlo | fit | report.
-All numeric output is CSV with a comment header naming the units, the formula
-implemented and the effective configuration.  Exit codes: 0 ok, 1 usage,
-2 config or an unreadable/unwritable file, 3 numeric/resolution,
-4 non-convergence.
+Every flag that sets a config value is written into the loaded config before
+anything is built, so each run has one effective config.  All numeric output
+is CSV whose '#' header names the command, the units and the formula
+implemented, then that effective config.  Exit codes: 0 ok, 1 usage, 2 config,
+a bad flag value, a malformed input table or an unreadable/unwritable file,
+3 numeric/resolution, 4 non-convergence.
 """
 import argparse
-import csv
 import math
 import os
 import sys
@@ -23,7 +24,7 @@ from .montecarlo import (efficiency_sweep, extrapolate_zero_power, simulate)
 from .report import jsi_geometry, run_report
 from .schmidt import (decompose, delay_compensated_overlap, spectral_overlap)
 from .twinstats import (klyshko, mean_n_from_cross, read_visibility_points,
-                        visibility_full, write_count_records)
+                        visibility_full, write_count_records, write_table)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,27 +58,26 @@ def build_parser():
                        help="sectioned config file (default: bundled device)")
         p.add_argument("--out", default=".", help="output directory")
 
+    # a dest "section.key" names the config value the flag sets (see _load)
+    def add_spectral(p):
+        add_common(p)
+        p.add_argument("--filter", default="none",
+                       choices=[*cfgmod.FILTER_PRESETS, "custom"])
+        p.add_argument("--approx", dest="grid.approximation", default=None,
+                       choices=["sinc", "gaussian"])
+
     p = sub.add_parser("jsa", help="build the joint amplitude, export marginals")
-    add_common(p)
-    p.add_argument("--filter", default="none",
-                   choices=["none", "g12", "sg40", "custom"])
+    add_spectral(p)
     p.add_argument("--grid", default=None, metavar="N,SPAN_THZ",
-                   help="override grid, e.g. 1024,8.0")
-    p.add_argument("--approx", default=None, choices=["sinc", "gaussian"])
+                   help="grid points and span (both spans), e.g. 1024,8.0")
     p.add_argument("--dump", default=None, help="write the complex grid to this file")
 
     p = sub.add_parser("overlap", help="spectral overlap of the twin beams")
-    add_common(p)
-    p.add_argument("--filter", default="none",
-                   choices=["none", "g12", "sg40", "custom"])
-    p.add_argument("--approx", default=None, choices=["sinc", "gaussian"])
+    add_spectral(p)
     p.add_argument("--compensate-delay", action="store_true")
 
     p = sub.add_parser("schmidt", help="Schmidt spectrum and mode number")
-    add_common(p)
-    p.add_argument("--filter", default="none",
-                   choices=["none", "g12", "sg40", "custom"])
-    p.add_argument("--approx", default=None, choices=["sinc", "gaussian"])
+    add_spectral(p)
 
     p = sub.add_parser("visibility", help="visibility model curve")
     add_common(p)
@@ -88,8 +88,8 @@ def build_parser():
 
     p = sub.add_parser("montecarlo", help="gated click simulation and estimators")
     add_common(p)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--gates", type=int, default=None)
+    p.add_argument("--seed", dest="sim.seed", metavar="SEED", type=int, default=None)
+    p.add_argument("--gates", dest="sim.gates", metavar="GATES", type=int, default=None)
     p.add_argument("--sweep", default=None, metavar="P1,P2,...",
                    help="pump powers for an efficiency sweep")
 
@@ -106,56 +106,59 @@ def build_parser():
 
 
 def _load(args):
+    """The config file with every config-setting flag written into it, and its device."""
     path = args.config if args.config else cfgmod.default_config_path()
     cfg = cfgmod.load_config(path)
-    device = cfgmod.device_from_config(cfg)
-    return cfg, device
-
-
-def _csv_header(fh, cfg, command, columns):
-    fh.write(f"# twinpdc {command}\n")
-    for line in cfgmod.effective_config_lines(cfg):
-        fh.write(f"# {line}\n")
-    fh.write(",".join(columns) + "\n")
-
-
-def _built_jsa(cfg, device, args, filtered):
-    pump = cfgmod.pump_from_config(cfg)
-    approx = args.approx or cfgmod.approximation_from_config(cfg)
-    grid_override = getattr(args, "grid", None)
-    if grid_override:
+    for dest, value in vars(args).items():
+        section, dot, key = dest.partition(".")
+        if dot and value is not None:
+            cfg.setdefault(section, {})[key] = str(value)
+    if getattr(args, "grid", None):
         try:
-            n, span = grid_override.split(",")
-            grid = cfgmod.grid_from_config(cfg, points=int(n), span_thz=float(span))
+            n, span = args.grid.split(",")
+            n, span = str(int(n)), repr(float(span))
         except ValueError as exc:
-            raise ConfigError(f"bad --grid {grid_override!r}") from exc
-    else:
-        grid = cfgmod.grid_from_config(cfg, filtered=filtered)
-    jsa_obj = build_jsa(device, pump, grid, approx)
-    transmitted = None
-    filt = cfgmod.filter_preset(args.filter, device, cfg)
-    if filt is not None:
-        jsa_obj, transmitted = apply_filter(jsa_obj, filt)
-    return jsa_obj, transmitted
+            raise ConfigError(f"bad --grid {args.grid!r}") from exc
+        cfg.setdefault("grid", {}).update(points=n, span_thz=span, filtered_span_thz=span)
+    if getattr(args, "filter", None):
+        cfg = cfgmod.with_filter_preset(cfg, args.filter)
+    return cfg, cfgmod.device_from_config(cfg)
+
+
+def _out_path(args, name):
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
+
+
+def _provenance(title, cfg):
+    """Header lines: '# twinpdc <title>', then the effective config."""
+    return [f"twinpdc {title}", *cfgmod.effective_config_lines(cfg)]
+
+
+def _built_jsa(cfg, device):
+    """The amplitude of the effective config, filtered by its [filter] section if any."""
+    filt = cfgmod.filter_from_config(cfg, device)
+    jsa_obj = build_jsa(device, cfgmod.pump_from_config(cfg),
+                        cfgmod.grid_from_config(cfg, filtered=filt is not None),
+                        cfgmod.approximation_from_config(cfg))
+    if filt is None:
+        return jsa_obj, None
+    return apply_filter(jsa_obj, filt)
 
 
 def cmd_jsa(args):
     cfg, device = _load(args)
-    jsa_obj, transmitted = _built_jsa(cfg, device, args, filtered=args.filter != "none")
+    jsa_obj, transmitted = _built_jsa(cfg, device)
     tilt = pm_tilt_deviation(device)
     # a span too narrow for the marginals fails here, before any file is written
     geo = jsi_geometry(device, jsa_obj)
     sig, idl = geo.marginals
 
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "marginals.csv")
-    with open(path, "w", newline="") as fh:
-        _csv_header(fh, cfg, "jsa marginals (detuning rad/ps, densities 1/(rad/ps))",
-                    ["detuning_signal", "marginal_signal", "detuning_idler",
-                     "marginal_idler"])
-        writer = csv.writer(fh)
-        for row in zip(jsa_obj.grid.axis_signal, sig, jsa_obj.grid.axis_idler, idl):
-            writer.writerow([f"{v:.9g}" for v in row])
+    path = _out_path(args, "marginals.csv")
+    write_table(path, ["detuning_signal", "marginal_signal", "detuning_idler", "marginal_idler"],
+                ([f"{v:.9g}" for v in row] for row in
+                 zip(jsa_obj.grid.axis_signal, sig, jsa_obj.grid.axis_idler, idl)),
+                _provenance("jsa marginals (detuning rad/ps, densities 1/(rad/ps))", cfg))
     if args.dump:
         dump_grid(jsa_obj, args.dump, header_lines=["twinpdc jsa grid dump"])
 
@@ -172,7 +175,7 @@ def cmd_jsa(args):
 
 def cmd_overlap(args):
     cfg, device = _load(args)
-    jsa_obj, transmitted = _built_jsa(cfg, device, args, filtered=args.filter != "none")
+    jsa_obj, transmitted = _built_jsa(cfg, device)
     value = spectral_overlap(jsa_obj)
     print(f"spectral overlap |O| = {abs(value):.4f} (O = {value:+.4f})")
     if transmitted is not None:
@@ -186,15 +189,12 @@ def cmd_overlap(args):
 
 def cmd_schmidt(args):
     cfg, device = _load(args)
-    jsa_obj, _ = _built_jsa(cfg, device, args, filtered=args.filter != "none")
+    jsa_obj, _ = _built_jsa(cfg, device)
     sd = decompose(jsa_obj)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "schmidt_spectrum.csv")
-    with open(path, "w", newline="") as fh:
-        _csv_header(fh, cfg, "schmidt spectrum", ["k", "coefficient"])
-        writer = csv.writer(fh)
-        for k, lam in enumerate(sd.coefficients):
-            writer.writerow([k, f"{lam:.12g}"])
+    path = _out_path(args, "schmidt_spectrum.csv")
+    write_table(path, ["k", "coefficient"],
+                ([k, f"{lam:.12g}"] for k, lam in enumerate(sd.coefficients)),
+                _provenance("schmidt spectrum", cfg))
     print(f"effective mode number K = {sd.mode_number:.2f} "
           f"(purity 1/K = {sd.purity:.4f})")
     print(f"kept {len(sd.coefficients)} modes, residual weight "
@@ -204,7 +204,7 @@ def cmd_schmidt(args):
 
 
 def cmd_visibility(args):
-    cfg, _ = _load(args)
+    _load(args)  # a bad --config exits 2 here too, though no config value enters the curve
     # each comparison is False for NaN
     if not -1.0 <= args.overlap <= 1.0:
         raise ConfigError(f"bad --overlap {args.overlap!r}: needs a value in [-1, 1]")
@@ -222,14 +222,11 @@ def cmd_visibility(args):
         raise ConfigError(f"bad --mean-n {args.mean_n!r}: the range is empty")
     grid = np.linspace(start, stop, num)
     vis = [visibility_full(args.overlap, n, args.eta1, args.eta2) for n in grid]
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "visibility.csv")
-    with open(path, "w", newline="") as fh:
-        _csv_header(fh, cfg, f"visibility {MODEL_FORMULAS['full']}",
-                    ["mean_n", "visibility"])
-        writer = csv.writer(fh)
-        for n, v in zip(grid, vis):
-            writer.writerow([f"{n:.9g}", f"{v:.9g}"])
+    path = _out_path(args, "visibility.csv")
+    write_table(path, ["mean_n", "visibility"],
+                ([f"{n:.9g}", f"{v:.9g}"] for n, v in zip(grid, vis)),
+                [f"twinpdc visibility {MODEL_FORMULAS['full']}", f"--overlap = {args.overlap!r}",
+                 f"--eta1 = {args.eta1!r}", f"--eta2 = {args.eta2!r}"])
     print(f"V({grid[0]:g}) = {vis[0]:.6f}, V({grid[-1]:g}) = {vis[-1]:.6f}")
     print(f"wrote {path}")
     return EXIT_OK
@@ -237,8 +234,7 @@ def cmd_visibility(args):
 
 def cmd_montecarlo(args):
     cfg, _ = _load(args)
-    sim = cfgmod.sim_from_config(cfg, seed=args.seed, gates=args.gates)
-    os.makedirs(args.out, exist_ok=True)
+    sim = cfgmod.sim_from_config(cfg)
     if args.sweep:
         try:
             powers = [float(tok) for tok in args.sweep.split(",")]
@@ -247,16 +243,14 @@ def cmd_montecarlo(args):
         print(f"sweeping {len(powers)} powers at {sim.n_gates} gates each",
               file=sys.stderr)
         points = efficiency_sweep(sim, powers)
-        path = os.path.join(args.out, "sweep.csv")
-        with open(path, "w", newline="") as fh:
-            _csv_header(fh, cfg, "efficiency sweep (raw C/S and accidental-corrected)",
-                        ["power", "eta_signal_est", "eta_idler_est",
-                         "corrected_signal", "corrected_idler", "mean_n_est"])
-            writer = csv.writer(fh)
-            for p in points:
-                writer.writerow([f"{v:.9g}" for v in
-                                 (p.power, p.eta_signal_est, p.eta_idler_est,
-                                  p.corrected_signal, p.corrected_idler, p.mean_n_est)])
+        path = _out_path(args, "sweep.csv")
+        write_table(path, ["power", "eta_signal_est", "eta_idler_est",
+                           "corrected_signal", "corrected_idler", "mean_n_est"],
+                    ([f"{v:.9g}" for v in (p.power, p.eta_signal_est, p.eta_idler_est,
+                                            p.corrected_signal, p.corrected_idler,
+                                            p.mean_n_est)] for p in points),
+                    _provenance("montecarlo efficiency sweep "
+                                "(raw C/S and accidental-corrected)", cfg))
         for label, vals, sigs, in (
                 ("signal", [p.corrected_signal for p in points],
                  [p.sigma_signal for p in points]),
@@ -269,9 +263,8 @@ def cmd_montecarlo(args):
         return EXIT_OK
     print(f"simulating {sim.n_gates} gates (seed {sim.seed})", file=sys.stderr)
     rec = simulate(sim)
-    path = os.path.join(args.out, "counts.csv")
-    write_count_records(path, [rec],
-                        header_comments=cfgmod.effective_config_lines(cfg))
+    path = _out_path(args, "counts.csv")
+    write_count_records(path, [rec], _provenance("montecarlo counts", cfg))
     kly = klyshko(rec)
     est = mean_n_from_cross(rec)
     print(f"singles: {rec.singles_signal} / {rec.singles_idler}, "
@@ -285,23 +278,19 @@ def cmd_montecarlo(args):
 
 
 def cmd_fit(args):
+    # each comparison is False for NaN
+    if args.eta_ratio is not None and not 0.0 < args.eta_ratio < math.inf:
+        raise ConfigError(f"bad --eta-ratio {args.eta_ratio!r}: needs a finite value > 0")
     points = read_visibility_points(args.points)
     result = fit_overlap(points, model=args.model, eta_ratio=args.eta_ratio)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "fit_report.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# twinpdc fit: {MODEL_FORMULAS[args.model]} weighted least squares\n")
-        fh.write(f"# overlap,{result.overlap:.9g}\n")
-        if args.model == "full":
-            fh.write(f"# eta_ratio,{result.eta_ratio:.9g}\n")
-        fh.write(f"# sigma,{result.sigma:.3g}\n")
-        fh.write(f"# chi_square,{result.chi_square:.6g}\n")
-        fh.write(f"# boundary,{result.at_boundary}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["mean_n", "visibility", "sigma", "residual"])
-        for p, r in zip(points, result.residuals):
-            writer.writerow([f"{p.mean_n:.9g}", f"{p.visibility:.9g}",
-                             f"{p.sigma:.9g}", f"{r:.6g}"])
+    ratio = [f"eta_ratio,{result.eta_ratio:.9g}"] if args.model == "full" else []
+    path = _out_path(args, "fit_report.csv")
+    write_table(path, ["mean_n", "visibility", "sigma", "residual"],
+                ([f"{p.mean_n:.9g}", f"{p.visibility:.9g}", f"{p.sigma:.9g}", f"{r:.6g}"]
+                 for p, r in zip(points, result.residuals)),
+                [f"twinpdc fit: {MODEL_FORMULAS[args.model]} weighted least squares",
+                 f"overlap,{result.overlap:.9g}", *ratio, f"sigma,{result.sigma:.3g}",
+                 f"chi_square,{result.chi_square:.6g}", f"boundary,{result.at_boundary}"])
     flag = " (boundary solution)" if result.at_boundary else ""
     print(f"spectral overlap = {result.overlap:.4f} +- {result.sigma:.4f}{flag}")
     print(f"chi-square / dof = {result.reduced_chi_square:.3f} "

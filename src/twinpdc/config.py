@@ -1,10 +1,11 @@
 """Sectioned key-value configuration files.
 
 One INI-style file feeds every command; sections: [device], [pump], [grid],
-[filter], [detection], [sim].  Command-line flags override file
-values, and the effective configuration is echoed into output headers.  A
-bundled file carries the reference 2 mm AlGaAs Bragg-reflection waveguide
-device data.
+[filter], [detection], [sim].  The command line writes each flag that sets a
+config value into the loaded {section: {key: value}} dict before anything is
+built, so the builders below read only the dict, and that effective config
+is the '#' header of every CSV a command writes.  A bundled file carries the
+reference 2 mm AlGaAs Bragg-reflection waveguide device data.
 """
 import configparser
 from importlib import resources
@@ -12,11 +13,18 @@ from importlib import resources
 from .dispersion import DeviceSpec, device_spec
 from .errors import ConfigError, ContractError
 from .jsa import FilterSpec, FrequencyGrid, PumpSpec
-from .montecarlo import equal_mode_spectrum
+from .montecarlo import SimConfig, equal_mode_spectrum
 from .twinstats import DetectionSpec
 from .units import bandwidth_nm_to_angular, thz_to_angular
 
 DEFAULT_SUPERGAUSS_ORDER = 4
+# --filter preset -> the [filter] values it stands for; bandwidths are converted
+# at the degeneracy wavelength and the filters sit on the degeneracy point
+FILTER_PRESETS = {
+    "none": {"shape": "none"},
+    "g12": {"shape": "gaussian", "bandwidth_nm": "12.0"},
+    "sg40": {"shape": "supergaussian", "bandwidth_nm": "40.0"},
+}
 DETECTION_KEYS = {"eta1": "eta1", "eta2": "eta2",  # DetectionSpec field -> [detection] key
                   "dark_prob1": "dark_rate_1_hz", "dark_prob2": "dark_rate_2_hz"}
 
@@ -87,14 +95,11 @@ def pump_from_config(cfg) -> PumpSpec:
     return PumpSpec.from_fwhm_nm(fwhm, center)
 
 
-def grid_from_config(cfg, filtered=False, points=None, span_thz=None) -> FrequencyGrid:
+def grid_from_config(cfg, filtered=False) -> FrequencyGrid:
     """Square grid from [grid]; the filtered studies default to a tighter span."""
-    if points is None:
-        points = _get(cfg, "grid", "points", int, default=2048)
-    if span_thz is None:
-        key = "filtered_span_thz" if filtered else "span_thz"
-        span_thz = _get(cfg, "grid", key, float,
-                        default=6.0 if filtered else 12.0)
+    points = _get(cfg, "grid", "points", int, default=2048)
+    key = "filtered_span_thz" if filtered else "span_thz"
+    span_thz = _get(cfg, "grid", key, float, default=6.0 if filtered else 12.0)
     return FrequencyGrid.square(points, thz_to_angular(span_thz))
 
 
@@ -102,31 +107,26 @@ def approximation_from_config(cfg) -> str:
     return _get(cfg, "grid", "approximation", str, default="gaussian")
 
 
-def filter_preset(name, device: DeviceSpec, cfg=None) -> FilterSpec | None:
-    """Named filter presets: none | g12 | sg40 | custom.
+def with_filter_preset(cfg, name) -> dict:
+    """cfg with its [filter] section set by a preset: none | g12 | sg40 | custom.
 
-    g12 is a 12 nm Gaussian and sg40 a 40 nm flat-top, both centered on the
-    degeneracy point with bandwidths converted at the degeneracy wavelength;
-    custom reads the [filter] section.
+    A FILTER_PRESETS entry replaces the section and keeps only the file's
+    supergauss_order; custom keeps the file's section as it is.  cfg itself
+    is not changed.
     """
-    lam = device.degeneracy_wavelength_nm
-    order = DEFAULT_SUPERGAUSS_ORDER
-    if cfg is not None:
-        order = _get(cfg, "filter", "supergauss_order", int,
-                     default=DEFAULT_SUPERGAUSS_ORDER)
-    if name == "none":
-        return None
-    if name == "g12":
-        return FilterSpec(shape="gaussian",
-                          bandwidth=bandwidth_nm_to_angular(12.0, lam))
-    if name == "sg40":
-        return FilterSpec(shape="supergaussian", order=order,
-                          bandwidth=bandwidth_nm_to_angular(40.0, lam))
     if name == "custom":
-        if cfg is None or "filter" not in cfg:
+        if "filter" not in cfg:
             raise ConfigError("custom filter requested but no [filter] section")
-        return filter_from_config(cfg, device)
-    raise ConfigError(f"unknown filter preset {name!r}")
+        return cfg
+    if name not in FILTER_PRESETS:
+        raise ConfigError(f"unknown filter preset {name!r}")
+    kept = {k: v for k, v in cfg.get("filter", {}).items() if k == "supergauss_order"}
+    return {**cfg, "filter": {**kept, **FILTER_PRESETS[name]}}
+
+
+def filter_preset(name, device: DeviceSpec, cfg) -> FilterSpec | None:
+    """The FilterSpec of a preset (see with_filter_preset), or None for none."""
+    return filter_from_config(with_filter_preset(cfg, name), device)
 
 
 def filter_from_config(cfg, device: DeviceSpec) -> FilterSpec | None:
@@ -173,19 +173,15 @@ def gate_rate_from_config(cfg) -> float:
     return rep_mhz * 1e6 / divisor
 
 
-def sim_from_config(cfg, seed=None, gates=None):
+def sim_from_config(cfg) -> SimConfig:
     """SimConfig from [sim] with a synthetic equal-mode source."""
-    from .montecarlo import SimConfig
-
     modes = _get(cfg, "sim", "modes", int, default=20)
     return SimConfig(
         source=equal_mode_spectrum(modes),
         gain=_get(cfg, "sim", "gain", float, default=0.3),
         det=detection_from_config(cfg),
-        n_gates=gates if gates is not None else _get(cfg, "sim", "gates", int,
-                                                     default=1_000_000),
-        seed=seed if seed is not None else _get(cfg, "sim", "seed", int,
-                                                default=20260809),
+        n_gates=_get(cfg, "sim", "gates", int, default=1_000_000),
+        seed=_get(cfg, "sim", "seed", int, default=20260809),
     )
 
 

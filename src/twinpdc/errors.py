@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
-The CLI maps these onto exit codes: ConfigError (and OSError) -> 2, numeric/grid
-errors -> 3, FitConvergenceError -> 4.
+The CLI maps these onto exit codes: ConfigError (a bad config value or flag, or
+a malformed input file) and OSError -> 2, numeric/grid errors -> 3,
+FitConvergenceError -> 4.
 """
 
 

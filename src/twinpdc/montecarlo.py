@@ -140,8 +140,8 @@ class SweepPoint:
     mean_n_sigma: float
 
 
-def efficiency_sweep(cfg: SimConfig, pump_powers, power_coefficient=1.0):
-    """Simulate a pump-power sweep; gain scales as sqrt(coefficient * power).
+def efficiency_sweep(cfg: SimConfig, pump_powers):
+    """Simulate a pump-power sweep; the gain is sqrt(power).
 
     Each point runs cfg.n_gates gates on a decorrelated stream derived from
     cfg.seed and the point index.  Every power is checked before the first
@@ -152,7 +152,7 @@ def efficiency_sweep(cfg: SimConfig, pump_powers, power_coefficient=1.0):
             raise ConfigError(f"pump powers must be positive and finite, got {power}")
     points = []
     for idx, power in enumerate(pump_powers):
-        gain = math.sqrt(power_coefficient * power)
+        gain = math.sqrt(power)
         seed = (cfg.seed + (idx + 1) * 0x9E3779B97F4A7C15) % 2**64
         point_cfg = replace(cfg, gain=gain, seed=seed)
         rec = simulate(point_cfg)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NonPhysicalCorrelationError
+from .errors import ConfigError, ContractError, NonPhysicalCorrelationError
 
 SUPPORTED_GLAUBER_ORDERS = {(1, 0), (0, 1), (2, 0), (0, 2), (1, 1)}
 
@@ -246,60 +246,71 @@ def mean_n_from_cross(rec: CountRecord) -> MeanPhotonEstimate:
 
 
 # ---------------------------------------------------------------------------
-# CSV interfaces
+# CSV tables
 
 COUNT_FIELDS = ("gates", "singles_signal", "singles_idler", "coincidences",
                 "gate_rate_hz")
 POINT_FIELDS = ("mean_n", "visibility", "sigma_visibility")
 
 
-def write_count_records(path, records, header_comments=()):
+def write_table(path, columns, rows, comments=()):
+    """Write '# ' comment lines, the column-name row, then the rows, each ending in LF."""
     with open(path, "w", newline="") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(COUNT_FIELDS)
-        for r in records:
-            writer.writerow([r.gates, r.singles_signal, r.singles_idler,
-                             r.coincidences, repr(r.gate_rate)])
+        fh.writelines(f"# {line}\n" for line in comments)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def read_table(path, columns, make):
+    """make(*fields) for each row of a table written by write_table.
+
+    '#' lines are skipped.  No field holds a comma, so a row is its line
+    split at the commas.
+
+    Raises:
+        ConfigError: naming the file and the line, if the column names
+            differ from columns, a row has the wrong number of fields, or
+            make rejects its fields (ValueError or ContractError).
+    """
+    out = []
+    with open(path) as fh:
+        rows = ((lineno, line.rstrip("\n").split(","))
+                for lineno, line in enumerate(fh, 1) if not line.startswith("#"))
+        lineno, header = next(rows, (None, None))
+        if header is None:
+            raise ConfigError(f"{path} holds no column-name row")
+        if header != list(columns):
+            raise ConfigError(f"{path} line {lineno}: columns {header}, "
+                              f"expected {list(columns)}")
+        for lineno, fields in rows:
+            try:
+                if len(fields) != len(columns):
+                    raise ValueError(f"{len(fields)} fields, expected {len(columns)}")
+                out.append(make(*fields))
+            except (ValueError, ContractError) as exc:
+                raise ConfigError(f"{path} line {lineno}: bad row {fields}: {exc}") from exc
+    return out
+
+
+def write_count_records(path, records, header_comments=()):
+    write_table(path, COUNT_FIELDS,
+                ((r.gates, r.singles_signal, r.singles_idler, r.coincidences,
+                  repr(r.gate_rate)) for r in records), header_comments)
 
 
 def read_count_records(path):
-    out = []
-    with open(path) as fh:
-        rows = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(rows, [])
-        if tuple(header) != COUNT_FIELDS:
-            raise ContractError(f"unexpected count CSV header {header}")
-        for row in rows:
-            try:
-                out.append(CountRecord(int(row[0]), int(row[1]), int(row[2]),
-                                       int(row[3]), float(row[4])))
-            except (IndexError, ValueError) as exc:
-                raise ContractError(f"{path}: malformed count row {row}") from exc
-    return out
+    return read_table(path, COUNT_FIELDS,
+                      lambda g, s, i, c, rate: CountRecord(int(g), int(s), int(i), int(c),
+                                                           float(rate)))
 
 
 def write_visibility_points(path, points, header_comments=()):
-    with open(path, "w", newline="") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(POINT_FIELDS)
-        for p in points:
-            writer.writerow([repr(p.mean_n), repr(p.visibility), repr(p.sigma)])
+    write_table(path, POINT_FIELDS,
+                ((repr(p.mean_n), repr(p.visibility), repr(p.sigma)) for p in points),
+                header_comments)
 
 
 def read_visibility_points(path):
-    out = []
-    with open(path) as fh:
-        rows = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(rows, [])
-        if tuple(header) != POINT_FIELDS:
-            raise ContractError(f"unexpected visibility CSV header {header}")
-        for row in rows:
-            try:
-                out.append(VisibilityPoint(float(row[0]), float(row[1]), float(row[2])))
-            except (IndexError, ValueError) as exc:
-                raise ContractError(f"{path}: malformed visibility row {row}") from exc
-    return out
+    return read_table(path, POINT_FIELDS,
+                      lambda n, v, s: VisibilityPoint(float(n), float(v), float(s)))

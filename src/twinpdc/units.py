@@ -6,9 +6,7 @@ ordinary frequencies (THz) appear only at I/O boundaries.
 """
 import math
 
-# speed of light
-C_UM_PER_PS = 299.792458
-C_NM_THZ = 299792.458  # nm * THz
+C_NM_THZ = 299792.458  # speed of light, nm * THz
 
 TWO_PI = 2.0 * math.pi
 
@@ -20,10 +18,6 @@ def thz_to_angular(f_thz):
 
 def angular_to_thz(omega):
     return omega / TWO_PI
-
-
-def wavelength_nm_to_thz(wavelength_nm):
-    return C_NM_THZ / wavelength_nm
 
 
 def thz_to_wavelength_nm(f_thz):

@@ -12,6 +12,7 @@ import pytest
 from twinpdc import config as cfgmod
 from twinpdc.cli import main
 from twinpdc.errors import ConfigError
+from twinpdc.jsa import FilterSpec
 from twinpdc.units import bandwidth_nm_to_angular
 
 
@@ -89,14 +90,14 @@ def test_malformed_file_reports_line(tmp_path):
 def test_filter_presets(bundled_config, device):
     lam = device.degeneracy_wavelength_nm
     g12 = cfgmod.filter_preset("g12", device, bundled_config)
-    assert g12.shape == "gaussian"
-    assert g12.bandwidth == pytest.approx(bandwidth_nm_to_angular(12.0, lam))
+    assert g12 == FilterSpec(shape="gaussian", bandwidth=bandwidth_nm_to_angular(12.0, lam))
     sg40 = cfgmod.filter_preset("sg40", device, bundled_config)
-    assert sg40.shape == "supergaussian"
-    assert sg40.order == 4
+    assert sg40 == FilterSpec(shape="supergaussian", order=4,
+                              bandwidth=bandwidth_nm_to_angular(40.0, lam))
     assert cfgmod.filter_preset("none", device, bundled_config) is None
     with pytest.raises(ConfigError):
         cfgmod.filter_preset("g99", device, bundled_config)
+    assert bundled_config["filter"] == {"shape": "none", "supergauss_order": "4"}
 
 
 def test_detection_dark_rates_become_probabilities(bundled_config):
@@ -342,6 +343,29 @@ def test_cli_fit_full_model_header(tmp_path, capsys):
     assert "# overlap,0.9" in header
 
 
+@pytest.mark.parametrize("ratio", ["nan", "inf", "0", "-1"])
+def test_cli_fit_bad_eta_ratio_writes_nothing(tmp_path, capsys, ratio):
+    from twinpdc.twinstats import VisibilityPoint, write_visibility_points
+
+    path = str(tmp_path / "pts.csv")
+    write_visibility_points(path, [VisibilityPoint(n, 0.8 - n, 0.01) for n in (0.1, 0.2, 0.3)])
+    assert main(["fit", path, "--model", "full", "--eta-ratio", ratio,
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad --eta-ratio ") and err.count("\n") == 1
+    assert not (tmp_path / "fit_report.csv").exists()
+
+
+def test_cli_fit_malformed_points_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b\n0.1,0.8\n")
+    assert main(["fit", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "bad.csv line 1" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "fit_report.csv").exists()
+
+
 def test_cli_fit_illposed_exit_code(tmp_path):
     from twinpdc.twinstats import VisibilityPoint, write_visibility_points
 
@@ -360,6 +384,44 @@ def test_cli_schmidt_spectrum(tmp_path, capsys):
     assert rows[0] == ["k", "coefficient"]
     lam0 = float(rows[1][1])
     assert 0.0 < lam0 <= 1.0
+
+
+@pytest.mark.parametrize("argv, name, columns, folded", [
+    (["jsa", "--grid", "1536,12.0", "--approx", "sinc"], "marginals.csv",
+     "detuning_signal,marginal_signal,detuning_idler,marginal_idler",
+     ["grid.points = 1536", "grid.span_thz = 12.0", "grid.approximation = sinc"]),
+    (["schmidt", "--filter", "g12"], "schmidt_spectrum.csv", "k,coefficient",
+     ["filter.shape = gaussian", "filter.bandwidth_nm = 12.0"]),
+    (["visibility", "--overlap", "0.9", "--eta1", "0.5"], "visibility.csv",
+     "mean_n,visibility", ["--overlap = 0.9", "--eta1 = 0.5", "--eta2 = 1.0"]),
+    (["montecarlo", "--seed", "7", "--gates", "100000"], "counts.csv",
+     "gates,singles_signal,singles_idler,coincidences,gate_rate_hz",
+     ["sim.seed = 7", "sim.gates = 100000"]),
+    (["montecarlo", "--gates", "100000", "--sweep", "0.01,0.02"], "sweep.csv",
+     "power,eta_signal_est,eta_idler_est,corrected_signal,corrected_idler,mean_n_est",
+     ["sim.gates = 100000"]),
+    (["fit", "POINTS"], "fit_report.csv", "mean_n,visibility,sigma,residual",
+     ["overlap,0.9"]),
+], ids=["jsa", "schmidt", "visibility", "montecarlo", "sweep", "fit"])
+def test_cli_table_header_is_the_effective_config(tmp_path, capsys, argv, name, columns,
+                                                  folded):
+    """Each table is '# twinpdc <command>', the folded config or flags, then its columns."""
+    from twinpdc import visibility_approx
+    from twinpdc.fit import points_from_arrays
+    from twinpdc.twinstats import write_visibility_points
+
+    grid = np.linspace(0.05, 0.5, 10)
+    points = str(tmp_path / "points.csv")
+    write_visibility_points(points, points_from_arrays(grid, visibility_approx(0.9, grid),
+                                                       np.full(10, 0.01)))
+    argv = [points if arg == "POINTS" else arg for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / name).read_bytes().decode()
+    assert "\r" not in text
+    comments = [line[2:] for line in text.splitlines() if line.startswith("#")]
+    assert comments[0].startswith(f"twinpdc {argv[0]}")
+    assert set(folded) <= set(comments)
+    assert text.splitlines()[len(comments)] == columns
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from twinpdc import (CountRecord, DetectionSpec, VisibilityPoint, fringe_curve, glauber,
                      klyshko, mean_n_from_cross, rate_extrema, visibility_approx,
                      visibility_from_rates, visibility_full)
-from twinpdc.errors import ContractError, NonPhysicalCorrelationError
+from twinpdc.errors import ConfigError, ContractError, NonPhysicalCorrelationError
 from twinpdc.twinstats import (read_count_records, read_visibility_points,
                                write_count_records, write_visibility_points)
 
@@ -226,6 +226,7 @@ def test_count_record_csv_roundtrip(tmp_path):
     path = tmp_path / "counts.csv"
     write_count_records(path, recs, header_comments=["unit test"])
     assert read_count_records(path) == recs
+    assert b"\r" not in path.read_bytes()
 
 
 def test_visibility_points_csv_roundtrip(tmp_path):
@@ -238,20 +239,20 @@ def test_visibility_points_csv_roundtrip(tmp_path):
 @pytest.mark.parametrize("bad_row", ["100,50,40", "100,50,40,x,1.0"])
 def test_count_csv_malformed_row_rejected(tmp_path, bad_row):
     path = tmp_path / "counts.csv"
-    write_count_records(path, [record(10**6, 5000, 4000, 100)])
+    write_count_records(path, [record(10**6, 5000, 4000, 100)], header_comments=["unit test"])
     with open(path, "a") as fh:
         fh.write(bad_row + "\n")
-    with pytest.raises(ContractError, match="malformed count row"):
+    with pytest.raises(ConfigError, match=r"counts\.csv line 4: bad row"):
         read_count_records(path)
 
 
-@pytest.mark.parametrize("bad_row", ["0.1,0.8", "0.1,high,0.01"])
+@pytest.mark.parametrize("bad_row", ["0.1,0.8", "0.1,high,0.01", "0.1,1.5,0.01"])
 def test_visibility_csv_malformed_row_rejected(tmp_path, bad_row):
     path = tmp_path / "points.csv"
     write_visibility_points(path, [VisibilityPoint(0.1, 0.8, 0.01)])
     with open(path, "a") as fh:
         fh.write(bad_row + "\n")
-    with pytest.raises(ContractError, match="malformed visibility row"):
+    with pytest.raises(ConfigError, match=r"points\.csv line 3: bad row"):
         read_visibility_points(path)
 
 
@@ -259,5 +260,5 @@ def test_empty_csv_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# comment only\n")
     for reader in (read_count_records, read_visibility_points):
-        with pytest.raises(ContractError, match="header"):
+        with pytest.raises(ConfigError, match=r"empty\.csv holds no column-name row"):
             reader(path)
