@@ -365,11 +365,14 @@ def build_jsa(spec: DeviceSpec, pump: PumpSpec, grid: FrequencyGrid,
 def apply_filter(jsa: JointAmplitude, filt: FilterSpec):
     """Apply a band-pass filter and renormalize.
 
-    The filter multiplies a copy of the amplitude in place, and the
-    transmitted fraction is the row-sum norm of the product (see
-    norm_squared), so the copy is the only n_s x n_i array.  As in build_jsa,
-    every real or imaginary part of the result with |x| < TINY is stored as
-    +0, so no filtered amplitude holds a subnormal.
+    Only the blocks of the input's band are copied, filtered, rescaled and
+    flushed, into a zero-initialized result: every other cell is +0, which
+    a filter transmission (finite, >= 0) and the rescaling keep +0.  The
+    transmitted fraction is the row-sum norm of the filtered grid (see
+    norm_squared), so the result is the only n_s x n_i array, and it has the
+    bits of the dense formula.  As in build_jsa, every real or imaginary part
+    of the result with |x| < TINY is stored as +0, so no filtered amplitude
+    holds a subnormal.
 
     Returns:
         (filtered JointAmplitude, transmitted fraction), the fraction being
@@ -385,11 +388,17 @@ def apply_filter(jsa: JointAmplitude, filt: FilterSpec):
             f"filter bandwidth {filt.bandwidth:.4g} rad/ps narrower than two "
             "grid steps; refine the grid"
         )
-    values = jsa.values.copy()
-    if filt.applies_to in ("signal", "both"):
-        values *= filt.amplitude(jsa.grid.axis_signal)[:, None]
-    if filt.applies_to in ("idler", "both"):
-        values *= filt.amplitude(jsa.grid.axis_idler)[None, :]
+    signal = filt.amplitude(jsa.grid.axis_signal)
+    idler = filt.amplitude(jsa.grid.axis_idler)
+    values = np.zeros_like(jsa.values)
+    blocks = jsa.band.blocks
+    for rows, cols in blocks:
+        cells = values[rows, cols]
+        cells[...] = jsa.values[rows, cols]
+        if filt.applies_to in ("signal", "both"):
+            cells *= signal[rows, None]
+        if filt.applies_to in ("idler", "both"):
+            cells *= idler[None, cols]
     transmitted = float(np.sum(_row_weights(values)) * jsa.cell_area)
     if transmitted < 1e-6:
         warnings.warn(
@@ -397,8 +406,10 @@ def apply_filter(jsa: JointAmplitude, filt: FilterSpec):
             "renormalized output is dominated by numerical tails",
             stacklevel=2,
         )
-    values /= math.sqrt(transmitted)
-    _flush_tiny(values)
+    scale = math.sqrt(transmitted)
+    for rows, cols in blocks:
+        values[rows, cols] /= scale
+        _flush_tiny(values[rows, cols])
     return JointAmplitude(grid=jsa.grid, values=values, normalized=True), transmitted
 
 

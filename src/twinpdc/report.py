@@ -89,7 +89,7 @@ class ReportInputs:
         self.device = cfgmod.device_from_config(cfg)
         self.pump = cfgmod.pump_from_config(cfg)
         self.approx = cfgmod.approximation_from_config(cfg)
-        self.seed = int(cfg["sim"]["seed"])
+        self.seed = cfgmod.sim_from_config(cfg).seed
         self.gate_rate = cfgmod.gate_rate_from_config(cfg)
 
     @cached_property

@@ -26,8 +26,9 @@ Every grid computation here reads only the amplitude's band, which each
 JointAmplitude finds once (JointAmplitude.band): the products of decompose
 and density_overlap multiply only the column span of each block of BLOCK_ROWS
 rows, and the lag sums read only the stretch of each diagonal that crosses
-the band.  Every cell outside the band is +0, so each result is
-that of the dense grid.
+the band.  Every cell outside the band is +0, so each result is that of the
+dense grid.  decompose needs numpy alone: its products, QRs and SVD all run
+in numpy's one BLAS thread pool.
 """
 import math
 from dataclasses import dataclass, replace
@@ -123,32 +124,21 @@ def _tdot(f: JointAmplitude, y):
     return out
 
 
-def _lu_basis(a):
-    """A basis of range(a): the row-permuted unit lower factor of its partially pivoted LU.
-
-    a = P L U, so range(a) lies in range(P L), which has full column rank.
-    """
-    import scipy.linalg  # here, so that only a decompose loads scipy, not `import twinpdc`
-    return scipy.linalg.lu(a, permute_l=True, overwrite_a=True, check_finite=False)[0]
-
-
 def _sketch_basis(f, width):
-    """A basis of f Omega, Omega an n_i x width complex Gaussian from SKETCH_KEY."""
+    """An orthonormal basis of f Omega, Omega an n_i x width complex Gaussian from SKETCH_KEY."""
     rng = np.random.Generator(np.random.Philox(key=SKETCH_KEY))
     omega = rng.standard_normal((f.values.shape[1], 2 * width)).view(complex)
-    return _lu_basis(_dot(f, omega))
+    return np.linalg.qr(_dot(f, omega))[0]
 
 
 def _power_iterate(f, q, iterations):
-    """Subspace iteration q <- f f^dag q, LU-normalized each side; orthonormal at the end.
+    """Subspace iteration q <- f f^dag q, orthonormalized by one Householder QR per step.
 
-    Halko, Martinsson & Tropp (2011), Sec. 4.5: LU keeps the column space of
-    each iterate at a fraction of the cost of QR; only the final basis is
-    orthonormalized.
+    f^dag q = conj(f^T conj(q)), so each step is two banded products and one QR.
     """
     for _ in range(iterations):
-        q = _lu_basis(_dot(f, _lu_basis(_tdot(f, q.conj()).conj())))
-    return np.linalg.qr(q)[0]
+        q = np.linalg.qr(_dot(f, _tdot(f, q.conj()).conj()))[0]
+    return q
 
 
 def _projected_schmidt(f, q, ds, di, norm_squared):
@@ -188,13 +178,16 @@ def decompose(jsa: JointAmplitude, rank_cutoff=DEFAULT_RANK_CUTOFF) -> SchmidtDa
 
     A Gaussian sketch of width l (Halko, Martinsson & Tropp, SIAM Rev. 53, 217
     (2011), Alg. 4.4) and q power iterations give a basis of f (f^dag f)^q
-    Omega.  The sketch and every inner iterate are normalized by an LU with
-    partial pivoting (ibid. Sec. 4.5), which keeps their column space at a
-    quarter of the cost of QR, and the final basis gets one QR: the
-    orthonormal Q, n_s x l.  The SVD of the small Q^dag f gives lam_j and the
-    modes.  The kept part of Q Q^dag F, F = f sqrt(dnu_s dnu_i), is an
-    orthogonal projection of F, so for any Q the weight it leaves out is
-    exactly ||F||^2 - sum_{j<=k} lam_j^2 (ibid. Sec. 4.3), with ||F||^2 the
+    Omega.  The sketch f Omega and each product f (f^dag q) get one Householder
+    QR, so the last QR is already the orthonormal Q, n_s x l: the bundled grid
+    takes three QRs.  The iterate f^dag q between them is not normalized, so
+    the singular values of f (f^dag q) spread over (lam_1 / lam_l)^2; the kept
+    lam_j still come out within the eps lam_1 rounding of a dense SVD.  Every
+    product and factorization is numpy's, in its one BLAS thread pool.  The
+    SVD of the small Q^dag f gives lam_j and the modes.  The kept part of
+    Q Q^dag F, F = f sqrt(dnu_s dnu_i), is an orthogonal projection of F, so
+    for any Q the weight it leaves out is exactly ||F||^2 - sum_{j<=k}
+    lam_j^2 (ibid. Sec. 4.3), with ||F||^2 the
     pairwise sum the normalization check takes, not the assumed 1, which that
     check lets be off by 1e-6.  truncated(rank_cutoff) keeps the fewest modes
     whose left-out weight is at most rank_cutoff, so the squared

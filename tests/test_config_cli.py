@@ -453,7 +453,21 @@ def test_cli_report_skip_montecarlo_drops_tagged_rows(two_row_table, capsys):
     assert lines == ["[PASS] always one: 1 (allowed 0 .. 2)", "1/1 checks passed"]
 
 
-LIGHT_COMMANDS_SCRIPT = """
+def test_cli_report_without_sim_section_uses_default_seed(monkeypatch, tmp_path, capsys):
+    """A config holding only [device], [pump] and [grid] runs the report on the [sim] defaults."""
+    from twinpdc import report
+    from twinpdc.report import Criterion
+
+    default_seed = cfgmod.sim_from_config({}).seed
+    monkeypatch.setattr(report, "CRITERIA", (
+        Criterion("seed", default_seed, default_seed, lambda inputs: inputs.seed,
+                  montecarlo=True),))
+    path = write_cfg(tmp_path, MINIMAL + "\n[grid]\npoints = 256\nspan_thz = 12.0\n")
+    assert main(["report", "--config", path]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "1/1 checks passed"
+
+
+NUMPY_ONLY_SCRIPT = """
 import sys
 
 from twinpdc.cli import main
@@ -473,12 +487,13 @@ g = np.exp(-grid.axis_signal ** 2)
 values = np.outer(g, g).astype(complex)
 values /= np.sqrt(np.sum(np.abs(values) ** 2) * grid.step_signal * grid.step_idler)
 decompose(JointAmplitude(grid=grid, values=values, normalized=True))
-assert "scipy.linalg" in sys.modules
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+assert not loaded, f"decompose loaded {loaded}"
 """
 
 
-def test_cli_light_commands_load_no_scipy(tmp_path):
-    """montecarlo, fit and visibility run on numpy alone; decompose loads scipy.linalg.
+def test_cli_commands_and_decompose_load_no_scipy(tmp_path):
+    """montecarlo, fit, visibility and decompose run on numpy alone.
 
     A fresh interpreter, since this one has imported scipy already.
     """
@@ -493,6 +508,6 @@ def test_cli_light_commands_load_no_scipy(tmp_path):
     src = str(Path(twinpdc.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", LIGHT_COMMANDS_SCRIPT, points, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_SCRIPT, points, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -360,6 +360,42 @@ def test_filter_matches_dense_reference_bits(bundled_config, device, filter_base
     assert same_bits(out.values, flushed(values / math.sqrt(transmitted)))
 
 
+def ragged_band_jsa(n_s=300, n_i=220, seed=11):
+    """A normalized random amplitude with an irregular band: a ridge whose reach changes row
+    by row, a run of rows of +0 longer than a block, one stray cell far off the ridge,
+    and -0 and subnormal parts inside the band."""
+    rng = np.random.default_rng(seed)
+    grid = FrequencyGrid(n_s, n_i, 3.0, 2.5)
+    values = np.zeros((n_s, n_i), dtype=complex)
+    for row in range(n_s):
+        if 90 <= row < 170:
+            continue
+        center = round((n_s - 1 - row) * (n_i - 1) / (n_s - 1))
+        lo, hi = max(center - rng.integers(0, 40), 0), min(center + rng.integers(1, 40), n_i)
+        values[row, lo:hi] = rng.standard_normal((hi - lo, 2)).view(complex)[:, 0]
+    values[250, 3] = 0.5 - 0.25j
+    values[20, 190:193] = [complex(-0.0, 1.0), complex(1e-310, -0.0), complex(-1e-312, 2.0)]
+    values /= math.sqrt(row_sum_norm(values) * grid.step_signal * grid.step_idler)
+    return JointAmplitude(grid=grid, values=values, normalized=True)
+
+
+@pytest.mark.parametrize("applies_to", ["signal", "idler", "both"])
+@pytest.mark.parametrize("shape", ["gaussian", "rectangular"])
+def test_banded_filter_matches_dense_formula_bits(applies_to, shape):
+    """Filtering only the band's blocks gives the bits of the dense formula on the whole grid."""
+    jsa = ragged_band_jsa()
+    filt = FilterSpec(shape=shape, bandwidth=2.0, center=0.3, applies_to=applies_to)
+    values = jsa.values
+    if applies_to in ("signal", "both"):
+        values = values * filt.amplitude(jsa.grid.axis_signal)[:, None]
+    if applies_to in ("idler", "both"):
+        values = values * filt.amplitude(jsa.grid.axis_idler)[None, :]
+    transmitted = float(row_sum_norm(values) * jsa.cell_area)
+    out, fraction = apply_filter(jsa, filt)
+    assert fraction == transmitted
+    assert same_bits(out.values, flushed(values / math.sqrt(transmitted)))
+
+
 def test_filter_single_axis_only_touches_that_axis():
     jsa = separable_jsa(width_s=1.0, width_i=1.0)
     out, _ = apply_filter(jsa, FilterSpec(shape="gaussian", bandwidth=1.0,

@@ -160,6 +160,18 @@ def test_sketch_matches_dense_oracle_on_bundled_grid(
         assert sd.truncation_residual == pytest.approx(np.sum(lam[keep:] ** 2), abs=1e-14)
 
 
+@pytest.mark.parametrize("cutoff", [1e-6, 1e-8, 1e-10, 1e-12, 1e-15])
+@pytest.mark.parametrize("ratio", [0.8, 0.9])
+def test_kept_coefficients_carry_dense_svd_rounding(ratio, cutoff):
+    """One QR per f f^dag step loses none of the small kept modes: each kept lam_k lies
+    within 64 eps lam_1 of the dense SVD, the accuracy a dense SVD itself has."""
+    jsa = decaying_jsa(ratio=ratio)
+    sd = decompose(jsa, rank_cutoff=cutoff)
+    lam = dense_coefficients(jsa)
+    err = np.abs(sd.coefficients - lam[:len(sd.coefficients)])
+    assert np.max(err) <= 64 * np.finfo(float).eps * lam[0]
+
+
 def test_reported_residual_is_reconstruction_error(sketch_widths):
     """On an amplitude whose norm is off 1 by 8e-7, which decompose accepts."""
     jsa = decaying_jsa(norm_squared=1.0 + 8e-7)
