@@ -12,13 +12,19 @@ row first: each signal row's sum_i |f|^2 is one whole-row sum, and the norm
 is the sum of those row weights.  Every |f|^2 reduction (the norm, the
 filter transmission, the marginals) reads |f|^2 in row tiles of about
 TILE_CELLS cells, so none allocates an array the size of the grid, and the
-bits do not depend on the tile size.  build_jsa fills one zero-initialized
-array in the same row tiles, so its peak memory stays near the size of the
-result.  The stored amplitude is the formula cut at the pump band: every
-cell where (nu_s + nu_i)^2 / sigma^2 > PUMP_CUT, i.e. where the pump
-envelope is below e^-40 of its peak, holds +0, and only the band is
-evaluated.  No stored real or imaginary part is subnormal or -0: parts with
-|x| < TINY are stored as +0.
+bits do not depend on the tile size.  The stored amplitude is the formula
+cut at the pump band: every cell where (nu_s + nu_i)^2 / sigma^2 >
+PUMP_CUT, i.e. where the pump envelope is below e^-40 of its peak, holds
++0, and only the band is evaluated.  No stored real or imaginary part is
+subnormal or -0: parts with |x| < TINY are stored as +0.
+
+Every grid that build_jsa, apply_filter and load_grid return lives in
+demand-zero pages (_zero_grid): a page of the grid takes memory only once a
+cell on it is written, and reading a page never written maps the kernel's
+shared zero page.  Each of the three writes only the pump band, so a
+broadband amplitude on a 2048^2 grid holds about a fifth of its 64 MiB in
+memory, and no reader of the grid, dense or banded, makes more of it
+resident.
 
 Each JointAmplitude finds its band once (JointAmplitude.band): the columns
 of each row whose bits are not +0, and the span of each block of BLOCK_ROWS
@@ -29,7 +35,9 @@ Everything operates on detunings from the mode carriers; absolute axes are
 reconstructed only for display.  All transforms are pure and return new
 values.
 """
+import io
 import math
+import mmap
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,6 +71,9 @@ BLOCK_ROWS = 64
 
 # the smallest normal double: amplitude parts below it in magnitude are stored as +0
 TINY = np.finfo(float).tiny
+
+# bytes of a grid dump's body that load_grid reads at a time, cut back to the last line end
+LOAD_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -299,6 +310,18 @@ def _row_weights(values):
     return np.concatenate([np.sum(w, axis=1) for _, w in _intensity_tiles(values)])
 
 
+def _zero_grid(n_s, n_i):
+    """An n_s x n_i complex array of +0 in demand-zero pages.
+
+    The anonymous map is not advised to use huge pages, so each page takes
+    memory only when a cell on it is first written.  It is private because a
+    page of a shared one is allocated when it is read; a page of a private one
+    that is only read maps the kernel's shared zero page.
+    """
+    pages = mmap.mmap(-1, 16 * n_s * n_i, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(pages, dtype=complex).reshape(n_s, n_i)
+
+
 def _flush_tiny(values):
     """Set every real or imaginary part with |x| < TINY (±0 and subnormals) to +0, in place."""
     for rows in _row_tiles(*values.shape):
@@ -320,12 +343,13 @@ def build_jsa(spec: DeviceSpec, pump: PumpSpec, grid: FrequencyGrid,
     below e^-80 |pm|^2 / N^2, so the cut drops at most e^-80 cells max|pm|^2
     dnu_s dnu_i / N^2 of the norm, under 1e-30 on the bundled grids.  N is
     the row-sum norm of the cut grid (see norm_squared), so the only
-    n_s x n_i array is the result.  After the normalization every real or
-    imaginary part with |x| < TINY (±0 and subnormals) is set to +0: a matrix
-    product that reads subnormal operands runs 2-3.5x slower, and their
-    squares are already 0, so the norm does not change.  The result has the
-    bits of the dense formula f = pm * pump / N on the full grid, cut and
-    flushed in the same way.
+    n_s x n_i array is the result, a _zero_grid whose cells outside the
+    tiles' column ranges are never written and take no memory.  After the
+    normalization every real or imaginary part with |x| < TINY (±0 and
+    subnormals) is set to +0: a matrix product that reads subnormal operands
+    runs 2-3.5x slower, and their squares are already 0, so the norm does not
+    change.  The result has the bits of the dense formula f = pm * pump / N
+    on the full grid, cut and flushed in the same way.
 
     Raises:
         ResolutionError: if the grid resolves the narrower of the pump and
@@ -341,7 +365,7 @@ def build_jsa(spec: DeviceSpec, pump: PumpSpec, grid: FrequencyGrid,
             f"{MIN_POINTS_PER_WIDTH} points; refine the grid or shrink the span"
         )
     axis_s, axis_i = grid.axis_signal, grid.axis_idler
-    values = np.zeros((grid.n_s, grid.n_i), dtype=complex)
+    values = _zero_grid(grid.n_s, grid.n_i)
     reach = pump.sigma * math.sqrt(PUMP_CUT)
     bands = []
     for tile in _row_tiles(grid.n_s, grid.n_i):
@@ -366,13 +390,13 @@ def apply_filter(jsa: JointAmplitude, filt: FilterSpec):
     """Apply a band-pass filter and renormalize.
 
     Only the blocks of the input's band are copied, filtered, rescaled and
-    flushed, into a zero-initialized result: every other cell is +0, which
-    a filter transmission (finite, >= 0) and the rescaling keep +0.  The
-    transmitted fraction is the row-sum norm of the filtered grid (see
-    norm_squared), so the result is the only n_s x n_i array, and it has the
-    bits of the dense formula.  As in build_jsa, every real or imaginary part
-    of the result with |x| < TINY is stored as +0, so no filtered amplitude
-    holds a subnormal.
+    flushed, into a _zero_grid result: every other cell is +0, which a
+    filter transmission (finite, >= 0) and the rescaling keep +0, and is
+    never written, so it takes no memory.  The transmitted fraction is the
+    row-sum norm of the filtered grid (see norm_squared), so the result is
+    the only n_s x n_i array, and it has the bits of the dense formula.  As
+    in build_jsa, every real or imaginary part of the result with |x| < TINY
+    is stored as +0, so no filtered amplitude holds a subnormal.
 
     Returns:
         (filtered JointAmplitude, transmitted fraction), the fraction being
@@ -380,7 +404,8 @@ def apply_filter(jsa: JointAmplitude, filt: FilterSpec):
 
     Raises:
         ContractError: if the input is not normalized.
-        ResolutionError: if the filter bandwidth spans fewer than 2 grid steps.
+        ResolutionError: if the filter bandwidth spans fewer than 2 grid steps,
+            or if it transmits none of the intensity.
     """
     jsa.check_normalized()
     if filt.bandwidth < 2.0 * max(jsa.grid.step_signal, jsa.grid.step_idler):
@@ -390,7 +415,7 @@ def apply_filter(jsa: JointAmplitude, filt: FilterSpec):
         )
     signal = filt.amplitude(jsa.grid.axis_signal)
     idler = filt.amplitude(jsa.grid.axis_idler)
-    values = np.zeros_like(jsa.values)
+    values = _zero_grid(jsa.grid.n_s, jsa.grid.n_i)
     blocks = jsa.band.blocks
     for rows, cols in blocks:
         cells = values[rows, cols]
@@ -400,6 +425,11 @@ def apply_filter(jsa: JointAmplitude, filt: FilterSpec):
         if filt.applies_to in ("idler", "both"):
             cells *= idler[None, cols]
     transmitted = float(np.sum(_row_weights(values)) * jsa.cell_area)
+    if transmitted == 0.0:
+        raise ResolutionError(
+            f"filter ({filt.shape}, {filt.bandwidth:.4g} rad/ps at {filt.center:.4g} rad/ps) "
+            "transmits none of the intensity; nothing is left to renormalize"
+        )
     if transmitted < 1e-6:
         warnings.warn(
             f"filter transmits only {transmitted:.2e} of the intensity; "
@@ -508,21 +538,31 @@ def dump_grid(jsa: JointAmplitude, path, header_lines=()):
 def load_grid(path) -> JointAmplitude:
     """Read an amplitude written by dump_grid, bit for bit.
 
+    The header is every leading '#' line.  Each line after it is one 're im'
+    pair, the cells in row-major order; LF and CRLF line ends are read alike,
+    and the last line may lack its line end.  The body is streamed in chunks
+    of about LOAD_CHUNK_BYTES cut at line ends.  A line that is exactly '0 0'
+    is +0, which the _zero_grid result already holds, so it is skipped
+    unwritten; the other lines of a chunk are parsed by one np.loadtxt call
+    and written into their cells.  So only the band of a dump becomes
+    resident, and the zero lines cost a byte comparison each.
+
     Raises:
         ConfigError: naming the file, if a header field is missing or
-            malformed, the body is not n_s * n_i 're im' pairs of numbers, or
-            a file marked normalized=True is not normalized to
-            NORMALIZATION_TOL.
+            malformed, the body does not hold n_s * n_i lines, a body line
+            (blank and '#' lines included) is not one pair of numbers, also
+            naming its line number, or a file marked normalized=True is not
+            normalized to NORMALIZATION_TOL.
     """
     meta = {}
-    with open(path) as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            for tok in line[1:].split():
+    with open(path, "rb") as fh:
+        line, header_lines = fh.readline(), 0
+        while line.startswith(b"#"):
+            for tok in line[1:].decode(errors="replace").split():
                 if "=" in tok:
                     k, _, v = tok.partition("=")
                     meta[k] = v
+            line, header_lines = fh.readline(), header_lines + 1
         try:
             grid = FrequencyGrid(int(meta["n_s"]), int(meta["n_i"]),
                                  float(meta["span_s"]), float(meta["span_i"]))
@@ -530,20 +570,71 @@ def load_grid(path) -> JointAmplitude:
             raise ConfigError(f"grid dump {path} missing header field {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"grid dump {path} has a malformed header: {exc}") from exc
-        fh.seek(0)  # loadtxt skips the '#' header itself
-        try:
-            pairs = np.loadtxt(fh, dtype=float, ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"grid dump {path}: {exc}") from exc
-    n = grid.n_s * grid.n_i
-    if pairs.shape != (n, 2):
-        raise ConfigError(f"grid dump {path} holds {pairs.shape[0]} lines of "
-                          f"{pairs.shape[1]} values; expected {n} 're im' pairs")
-    jsa = JointAmplitude(grid=grid, values=pairs.view(complex).reshape(grid.n_s, grid.n_i),
-                         normalized=meta.get("normalized") == "True")
+        values = _zero_grid(grid.n_s, grid.n_i)
+        cells = values.reshape(-1)
+        done, pending = 0, line
+        for data in iter(lambda: fh.read(LOAD_CHUNK_BYTES), b""):
+            chunk = pending + data
+            cut = chunk.rfind(b"\n") + 1
+            if cut:
+                done += _load_lines(chunk[:cut], cells[done:], path, header_lines + done + 1)
+            pending = chunk[cut:]
+        if pending:  # the last line, without its line end
+            done += _load_lines(pending + b"\n", cells[done:], path, header_lines + done + 1)
+    if done != cells.size:
+        raise ConfigError(f"grid dump {path} holds {done} body lines; "
+                          f"expected {cells.size} 're im' pairs")
+    jsa = JointAmplitude(grid=grid, values=values, normalized=meta.get("normalized") == "True")
     if jsa.normalized:
         try:
             jsa.check_normalized()
         except ContractError as exc:
             raise ConfigError(f"grid dump {path} says normalized=True: {exc}") from exc
     return jsa
+
+
+def _load_lines(chunk, cells, path, first_line):
+    """Parse the whole lines of chunk into cells[0], cells[1], ... and return their count.
+
+    Lines that are exactly '0 0' are left unwritten; first_line is the file's
+    line number of the chunk's first line, for the errors.
+    """
+    buf = np.frombuffer(chunk, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if ends.size > cells.size:
+        raise ConfigError(f"grid dump {path} line {first_line + cells.size}: "
+                          "the body holds more lines than the grid has cells")
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # a CRLF line ends before its '\r'; at ends[0] == 0, buf[-1] is the chunk's last '\n'
+    stops = ends - (buf[ends - 1] == ord("\r"))
+    zero = stops - starts == 3
+    at = starts[zero]
+    zero[zero] = (buf[at] == ord("0")) & (buf[at + 1] == ord(" ")) & (buf[at + 2] == ord("0"))
+    held = np.flatnonzero(~zero)
+    if held.size == 0:
+        return ends.size
+    text = buf[np.repeat(~zero, ends - starts + 1)].tobytes()
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns of a chunk whose lines are all blank; the shape check reports it
+            warnings.simplefilter("ignore", UserWarning)
+            pairs = np.loadtxt(io.BytesIO(text), dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        pairs = None
+    if pairs is None or pairs.shape != (held.size, 2):
+        bad = next((k for k in held if not _is_pair(chunk[starts[k]:stops[k]])), None)
+        where = "" if bad is None else f" line {first_line + bad}"
+        got = "" if bad is None else f", got {chunk[starts[bad]:stops[bad]]!r}"
+        raise ConfigError(f"grid dump {path}{where}: expected one 're im' pair of numbers "
+                          f"per body line{got}")
+    cells[held] = pairs.view(complex).ravel()
+    return ends.size
+
+
+def _is_pair(line):
+    """Whether one body line, without its line end, holds exactly two numbers."""
+    try:
+        return bool(line.strip()) and np.loadtxt(
+            [line.decode("latin-1")], dtype=float, comments=None, ndmin=2).shape == (1, 2)
+    except ValueError:
+        return False
