@@ -10,7 +10,13 @@ Mean photon numbers are treated as exact abscissae; the reported standard
 error is statistical, from the chi-square curvature in O at the minimum.  With
 a free ratio that curve is the profile min_s chi2(O, s), so sigma includes the
 uncertainty of the ratio.
+
+Within one fit each (O, r) is evaluated once: chi2 and the residuals at a
+point are kept, so the bound snap, the curvature centre, the reported
+chi-square and the nested searches of a free-ratio fit reuse the values the
+searches already computed.
 """
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,8 +96,13 @@ def fit_overlap(points, model="approx", eta_ratio=None) -> FitResult:
     """
     n, v, sd = _validate(points)
 
+    @functools.cache
+    def evaluate(overlap, r):
+        residuals = v - model_visibility(overlap, n, model, r)
+        return float(np.add.reduce((residuals / sd) ** 2)), residuals
+
     def chi2(overlap, r):
-        return float(np.sum(((v - model_visibility(overlap, n, model, r)) / sd) ** 2))
+        return evaluate(overlap, r)[0]
 
     def best_overlap(r):
         return _bounded_minimum(lambda o: chi2(o, r), 0.0, 1.0)
@@ -115,9 +126,9 @@ def fit_overlap(points, model="approx", eta_ratio=None) -> FitResult:
     curve = ((lambda o: chi2(o, _root_ratio(best_imbalance(o)))) if free
              else (lambda o: chi2(o, ratio)))
     sigma = _curvature_sigma(curve, best)
-    residuals = v - model_visibility(best, n, model, ratio)
+    chi_square, residuals = evaluate(best, ratio)
     return FitResult(overlap=best, sigma=sigma, residuals=residuals,
-                     chi_square=chi2(best, ratio), n_points=len(points),
+                     chi_square=chi_square, n_points=len(points),
                      model=model, eta_ratio=ratio, at_boundary=at_boundary)
 
 

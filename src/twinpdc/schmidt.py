@@ -255,14 +255,34 @@ def mode_means(coefficients, gain) -> np.ndarray:
 
 
 def gain_for_mean_n(mean_n, coefficients):
-    """Invert sum_k mode_means(coefficients, B) = mean_n for the gain B."""
+    """Invert sum_k mode_means(coefficients, B) = mean_n for the gain B.
+
+    Bisects [0, 2 asinh(sqrt(mean_n)) / max lam] for at most 200 steps and
+    stops once the midpoint equals an end of the bracket, about 55 steps in.
+    That returns the double the full 200 steps give: lo only ever holds a
+    point where the sum is below mean_n (the sum is 0 at 0), so a midpoint
+    equal to lo leaves the bracket as it is, and one equal to hi leaves it or
+    collapses it onto hi; either way every later step repeats and the result
+    0.5 (lo + hi) is that midpoint.
+
+    Raises:
+        ContractError: if mean_n is NaN or infinite, or the coefficients are
+            empty, hold a non-finite or negative entry, or are all zero.
+    """
+    if not math.isfinite(mean_n):
+        raise ContractError(f"gain_for_mean_n needs a finite mean photon number, got {mean_n!r}")
+    lam = np.asarray(coefficients, dtype=float).ravel()
+    if not (lam.size and np.all(np.isfinite(lam)) and np.all(lam >= 0) and np.any(lam)):
+        raise ContractError("gain_for_mean_n needs Schmidt coefficients that are finite, "
+                            "nonnegative and not all zero")
     if mean_n <= 0:
         return 0.0
-    lam = np.asarray(coefficients, dtype=float)
     lo, hi = 0.0, 2.0 * math.asinh(math.sqrt(mean_n)) / float(np.max(lam))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mode_means(lam, mid).sum() < mean_n:
+        if mid == lo or mid == hi:
+            break
+        if np.add.reduce(mode_means(lam, mid)) < mean_n:
             lo = mid
         else:
             hi = mid

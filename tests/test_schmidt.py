@@ -507,6 +507,71 @@ def test_gain_for_mean_n_inverts():
         assert mode_means(lam, b).sum() == pytest.approx(target, rel=1e-9)
 
 
+def gain_by_200_bisections(mean_n, coefficients):
+    """Oracle: the bisection that always runs 200 steps."""
+    if mean_n <= 0:
+        return 0.0
+    lam = np.asarray(coefficients, dtype=float)
+    lo, hi = 0.0, 2.0 * math.asinh(math.sqrt(mean_n)) / float(np.max(lam))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mode_means(lam, mid).sum() < mean_n:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def gain_spectra():
+    """Equal, unequal, device-like (K ~ 88 over 360 modes) and random Schmidt spectra."""
+    spectra = [np.full(k, 1.0 / math.sqrt(k)) for k in (1, 4, 20, 1000)]
+    spectra.append(np.array([math.sqrt(0.8), math.sqrt(0.2)]))
+    decay = np.exp(-np.arange(20) / 8.0)
+    spectra.append(decay / np.linalg.norm(decay))
+    thermal = (87.0 / 89.0) ** (np.arange(360) / 2.0)
+    spectra.append(thermal / np.linalg.norm(thermal))
+    rng = np.random.default_rng(22)
+    for size in rng.integers(1, 400, 12):
+        lam = rng.exponential(1.0, size) * (rng.uniform(size=size) < 0.9)
+        lam[0] += 1e-3  # never all zero
+        spectra.append(lam / np.linalg.norm(lam))
+    return spectra
+
+
+GAIN_MEAN_N = np.geomspace(1e-12, 100.0, 43)
+
+
+def test_gain_for_mean_n_bit_identical_to_200_bisections():
+    for lam in gain_spectra():
+        for target in GAIN_MEAN_N:
+            got, want = gain_for_mean_n(target, lam), gain_by_200_bisections(target, lam)
+            assert got.hex() == want.hex(), (len(lam), target)
+
+
+def test_gain_inversion_stops_at_its_fixed_point(monkeypatch):
+    """At most 70 evaluations of the mode sum per inversion, where the full bisection took 200."""
+    calls = []
+
+    def spy(coefficients, gain):
+        calls.append(gain)
+        return mode_means(coefficients, gain)
+    monkeypatch.setattr(schmidt, "mode_means", spy)
+    for lam in gain_spectra():
+        for target in GAIN_MEAN_N:
+            calls.clear()
+            gain_for_mean_n(target, lam)
+            assert 0 < len(calls) <= 70, (len(lam), target)
+
+
+@pytest.mark.parametrize("mean_n, coefficients", [
+    (math.nan, [1.0]), (math.inf, [1.0]), (-math.inf, [1.0]),
+    (0.1, []), (0.1, [0.6, math.nan]), (0.1, [math.inf]), (0.1, [0.8, -0.6]),
+    (0.1, [0.0, 0.0]), (0.0, [0.0])])
+def test_gain_rejects_bad_mean_n_and_coefficients(mean_n, coefficients):
+    with pytest.raises(ContractError, match="gain_for_mean_n"):
+        gain_for_mean_n(mean_n, coefficients)
+
+
 def test_gain_rejects_negative():
     """SimConfig holds the gain, so it rejects a negative, NaN or infinite one."""
     det = DetectionSpec(eta1=0.1, eta2=0.1, gate_rate=76.2e6 / 64)
