@@ -20,8 +20,8 @@ from .dispersion import pm_tilt_deviation
 from .errors import ConfigError, FitConvergenceError, TwinPdcError
 from .fit import fit_overlap
 from .jsa import apply_filter, build_jsa, dump_grid
-from .montecarlo import (efficiency_sweep, extrapolate_zero_power, simulate)
-from .report import jsi_geometry, run_report
+from .montecarlo import efficiency_sweep, simulate, zero_power_efficiencies
+from .report import delay_search_range, jsi_geometry, run_report
 from .schmidt import (decompose, delay_compensated_overlap, spectral_overlap)
 from .twinstats import (klyshko, mean_n_from_cross, read_visibility_points,
                         visibility_full, write_count_records, write_table)
@@ -181,8 +181,7 @@ def cmd_overlap(args):
     if transmitted is not None:
         print(f"filter transmitted fraction: {transmitted:.4f}")
     if args.compensate_delay:
-        span = 3.0 * abs(device.group_delay_ps())
-        tau, best = delay_compensated_overlap(jsa_obj, (-span, span))
+        tau, best = delay_compensated_overlap(jsa_obj, delay_search_range(device))
         print(f"delay-compensated overlap = {best:.4f} at tau = {tau:.4f} ps")
     return EXIT_OK
 
@@ -251,12 +250,7 @@ def cmd_montecarlo(args):
                                             p.mean_n_est)] for p in points),
                     _provenance("montecarlo efficiency sweep "
                                 "(raw C/S and accidental-corrected)", cfg))
-        for label, vals, sigs, in (
-                ("signal", [p.corrected_signal for p in points],
-                 [p.sigma_signal for p in points]),
-                ("idler", [p.corrected_idler for p in points],
-                 [p.sigma_idler for p in points])):
-            intercept, se, _ = extrapolate_zero_power(powers, vals, sigs)
+        for label, (intercept, se) in zero_power_efficiencies(points).items():
             print(f"zero-power Klyshko efficiency ({label}): "
                   f"{100 * intercept:.2f} +- {100 * se:.2f} %")
         print(f"wrote {path}")

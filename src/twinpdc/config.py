@@ -87,9 +87,6 @@ def device_from_config(cfg) -> DeviceSpec:
 
 
 def pump_from_config(cfg) -> PumpSpec:
-    sigma = _get(cfg, "pump", "sigma_radps", float)
-    if sigma is not None:
-        return PumpSpec(sigma=sigma)
     fwhm = _get(cfg, "pump", "fwhm_nm", float, required=True)
     center = _get(cfg, "pump", "center_nm", float, required=True)
     return PumpSpec.from_fwhm_nm(fwhm, center)
@@ -133,13 +130,10 @@ def filter_from_config(cfg, device: DeviceSpec) -> FilterSpec | None:
     shape = _get(cfg, "filter", "shape", str, default="none")
     if shape == "none":
         return None
-    bw = _get(cfg, "filter", "bandwidth_radps", float)
-    if bw is None:
-        bw_nm = _get(cfg, "filter", "bandwidth_nm", float, required=True)
-        bw = bandwidth_nm_to_angular(bw_nm, device.degeneracy_wavelength_nm)
+    bw_nm = _get(cfg, "filter", "bandwidth_nm", float, required=True)
     return FilterSpec(
         shape=shape,
-        bandwidth=bw,
+        bandwidth=bandwidth_nm_to_angular(bw_nm, device.degeneracy_wavelength_nm),
         center=_get(cfg, "filter", "center_radps", float, default=0.0),
         order=_get(cfg, "filter", "supergauss_order", int,
                    default=DEFAULT_SUPERGAUSS_ORDER),

@@ -9,11 +9,13 @@ phasematching factor sinc(L dk / 2) exp(i L dk / 2) (or its Gaussian
 approximation exp(-gamma L^2 dk^2 / 4) with the same phase), and N fixed by
 the discrete normalization sum |f|^2 dnu_s dnu_i = 1.  That sum is defined
 row first: each signal row's sum_i |f|^2 is one whole-row sum, and the norm
-is the sum of those row weights.  Every |f|^2 reduction (the norm, the
-filter transmission, the marginals) reads |f|^2 in row tiles of about
-TILE_CELLS cells, so none allocates an array the size of the grid, and the
-bits do not depend on the tile size.  The stored amplitude is the formula
-cut at the pump band: every cell where (nu_s + nu_i)^2 / sigma^2 >
+is the sum of those row weights.  Every pass over a grid walks one row
+partition, blocks of BLOCK_ROWS rows (_blocks): the build, every |f|^2
+reduction (the norm, the filter transmission, the marginals), the band scan,
+the filter and every grid product of the schmidt module.  So no pass
+allocates an array the size of the grid, and the bits of the build and of
+the reductions do not depend on BLOCK_ROWS.  The stored amplitude is the
+formula cut at the pump band: every cell where (nu_s + nu_i)^2 / sigma^2 >
 PUMP_CUT, i.e. where the pump envelope is below e^-40 of its peak, holds
 +0, and only the band is evaluated.  No stored real or imaginary part is
 subnormal or -0: parts with |x| < TINY are stored as +0.
@@ -27,8 +29,8 @@ memory, and no reader of the grid, dense or banded, makes more of it
 resident.
 
 Each JointAmplitude finds its band once (JointAmplitude.band): the columns
-of each row whose bits are not +0, and the span of each block of BLOCK_ROWS
-rows.  The dump and every grid product of the schmidt module read only the
+of each row whose bits are not +0, and the column span of each block.  The
+dump, the filter and every grid product of the schmidt module read only the
 band.
 
 Everything operates on detunings from the mode carriers; absolute axes are
@@ -57,17 +59,14 @@ MIN_POINTS_PER_WIDTH = 8
 # half-max factor for sinc^2: sinc(x)^2 = 1/2 at x = X_HALF_SINC_SQ
 X_HALF_SINC_SQ = 1.3915573
 
-# grid cells per row tile of every pass over a grid: the tile temporaries stay about 1 MiB
-TILE_CELLS = 1 << 16
-
 # build_jsa stores +0 where the pump envelope exp(-(s / sigma)^2) has (s / sigma)^2 > PUMP_CUT:
 # below e^-40, about 4e-18 of its peak, so each cut cell's weight is below e^-80 of the peak's
 PUMP_CUT = 40.0
 
-# grid rows per block of a band: a block's column span exceeds one row's band by about
-# BLOCK_ROWS columns on an anti-diagonal ridge, and the block stays tall enough for BLAS
-# to multiply at its full rate
-BLOCK_ROWS = 64
+# grid rows per block of every pass over a grid: a pass's temporaries are BLOCK_ROWS * n_i
+# cells (1 MiB of |f|^2 at 4096 columns), a block's column span exceeds one row's band by
+# about BLOCK_ROWS columns on an anti-diagonal ridge, and BLAS multiplies a block at full rate
+BLOCK_ROWS = 32
 
 # the smallest normal double: amplitude parts below it in magnitude are stored as +0
 TINY = np.finfo(float).tiny
@@ -186,8 +185,8 @@ class Band:
 
     Row r holds a cell that is not +0 only in the columns first[r]:end[r]
     (first = n_i, end = 0 for a row of +0).  blocks lists, for each block of
-    BLOCK_ROWS rows that holds such a cell, its row slice and the span of its
-    rows' ranges; every other cell of the grid is +0.
+    _blocks that holds such a cell, its row slice and the span of its rows'
+    ranges; every other cell of the grid is +0.
     """
 
     first: np.ndarray
@@ -199,20 +198,24 @@ class Band:
         return slice(int(self.first[rows].min()), int(self.end[rows].max()))
 
 
+def _blocks(n_rows):
+    """The row partition of every pass over a grid: slices of BLOCK_ROWS rows, the last ragged."""
+    return [slice(start, min(start + BLOCK_ROWS, n_rows))
+            for start in range(0, n_rows, BLOCK_ROWS)]
+
+
 def _find_band(values) -> Band:
-    """The Band of a grid, read in row tiles."""
+    """The Band of a grid, read one block at a time."""
     n_s, n_i = values.shape
     first, end = np.full(n_s, n_i), np.zeros(n_s, dtype=int)
-    for rows in _row_tiles(n_s, n_i):
+    blocks = []
+    for rows in _blocks(n_s):
         bits = np.ascontiguousarray(values[rows], dtype=complex).view(np.uint64)
         held = (bits[:, 0::2] | bits[:, 1::2]) != 0
         some = held.any(axis=1)
-        first[rows] = np.where(some, held.argmax(axis=1), n_i)
-        end[rows] = np.where(some, n_i - held[:, ::-1].argmax(axis=1), 0)
-    blocks = []
-    for start in range(0, n_s, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        if np.any(end[rows] > first[rows]):
+        if some.any():
+            first[rows] = np.where(some, held.argmax(axis=1), n_i)
+            end[rows] = np.where(some, n_i - held[:, ::-1].argmax(axis=1), 0)
             blocks.append((rows, slice(int(first[rows].min()), int(end[rows].max()))))
     return Band(first=first, end=end, blocks=tuple(blocks))
 
@@ -244,7 +247,7 @@ class JointAmplitude:
     def norm_squared(self) -> float:
         """Discrete norm sum |f|^2 dnu_s dnu_i, the sum of the row weights.
 
-        Its temporaries are one row tile and the n_s row weights.
+        Its temporaries are one block's |f|^2 and the n_s row weights.
         """
         return float(np.sum(_row_weights(self.values)) * self.cell_area)
 
@@ -289,25 +292,19 @@ def _principal_widths(spec: DeviceSpec, pump: PumpSpec):
     return pump_width, min(pm_widths) if pm_widths else math.inf
 
 
-def _row_tiles(n_rows, n_cols):
-    """Row slices of about TILE_CELLS cells each (at least one row) covering n_rows rows."""
-    rows = max(1, TILE_CELLS // max(n_cols, 1))
-    return [slice(start, start + rows) for start in range(0, n_rows, rows)]
-
-
-def _intensity_tiles(values):
-    """Yield (row slice, |f|^2 of those rows) over the grid, one row tile at a time."""
-    for rows in _row_tiles(*values.shape):
+def _intensity_blocks(values):
+    """Yield (row slice, |f|^2 of those rows) over the grid, one block at a time."""
+    for rows in _blocks(len(values)):
         intensity = np.abs(values[rows])
         yield rows, np.square(intensity, out=intensity)
 
 
 def _row_weights(values):
-    """Per-row sums sum_i |f[s, i]|^2, with O(tile + n_s) memory.
+    """Per-row sums sum_i |f[s, i]|^2, with O(block + n_s) memory.
 
-    Each row is summed whole, so the bits do not depend on TILE_CELLS.
+    Each row is summed whole, so the bits do not depend on BLOCK_ROWS.
     """
-    return np.concatenate([np.sum(w, axis=1) for _, w in _intensity_tiles(values)])
+    return np.concatenate([np.sum(w, axis=1) for _, w in _intensity_blocks(values)])
 
 
 def _zero_grid(n_s, n_i):
@@ -322,10 +319,13 @@ def _zero_grid(n_s, n_i):
     return np.frombuffer(pages, dtype=complex).reshape(n_s, n_i)
 
 
-def _flush_tiny(values):
-    """Set every real or imaginary part with |x| < TINY (±0 and subnormals) to +0, in place."""
-    for rows in _row_tiles(*values.shape):
-        parts = values[rows].view(float)
+def _rescale(values, windows, scale):
+    """Divide each (rows, cols) window of values by scale, in place, and store every
+    real or imaginary part with |x| < TINY (±0 and subnormals) there as +0."""
+    for rows, cols in windows:
+        cells = values[rows, cols]
+        cells /= scale
+        parts = cells.view(float)
         parts[np.abs(parts) < TINY] = 0.0
 
 
@@ -336,15 +336,15 @@ def build_jsa(spec: DeviceSpec, pump: PumpSpec, grid: FrequencyGrid,
     The amplitude carries the full complex phase exp(i L dk / 2).  It is cut
     at the pump band: every cell where (nu_s + nu_i)^2 / sigma^2 > PUMP_CUT,
     i.e. where the pump envelope is below e^-40 of its peak, is +0.  The cut
-    is decided per cell, so the bits do not depend on TILE_CELLS.  Each row
-    tile evaluates pm_function and pump_envelope only on the columns within
+    is decided per cell, so the bits do not depend on BLOCK_ROWS.  Each block
+    of _blocks evaluates pm_function and pump_envelope only on the columns within
     sigma sqrt(PUMP_CUT) of its rows' anti-diagonal, and every other cell
     stays +0 (about 93% of the bundled 2048^2 grid).  A cut cell's weight is
     below e^-80 |pm|^2 / N^2, so the cut drops at most e^-80 cells max|pm|^2
     dnu_s dnu_i / N^2 of the norm, under 1e-30 on the bundled grids.  N is
     the row-sum norm of the cut grid (see norm_squared), so the only
     n_s x n_i array is the result, a _zero_grid whose cells outside the
-    tiles' column ranges are never written and take no memory.  After the
+    blocks' column ranges are never written and take no memory.  After the
     normalization every real or imaginary part with |x| < TINY (±0 and
     subnormals) is set to +0: a matrix product that reads subnormal operands
     runs 2-3.5x slower, and their squares are already 0, so the norm does not
@@ -367,22 +367,20 @@ def build_jsa(spec: DeviceSpec, pump: PumpSpec, grid: FrequencyGrid,
     axis_s, axis_i = grid.axis_signal, grid.axis_idler
     values = _zero_grid(grid.n_s, grid.n_i)
     reach = pump.sigma * math.sqrt(PUMP_CUT)
-    bands = []
-    for tile in _row_tiles(grid.n_s, grid.n_i):
-        nu_s = axis_s[tile]
-        # every cell of the tile with |nu_s + nu_i| <= reach, with one column to spare for rounding
+    windows = []
+    for rows in _blocks(grid.n_s):
+        nu_s = axis_s[rows]
+        # every cell of the block with |nu_s + nu_i| <= reach, with one column to spare for rounding
         cols = slice(max(np.searchsorted(axis_i, -nu_s[-1] - reach, "left") - 1, 0),
                      np.searchsorted(axis_i, reach - nu_s[0], "right") + 1)
-        bands.append((tile, cols))
+        windows.append((rows, cols))
         nu_s, nu_i = np.meshgrid(nu_s, axis_i[cols], indexing="ij")
-        cells = values[tile, cols]
+        cells = values[rows, cols]
         np.multiply(pm_function(spec, nu_s, nu_i, approximation),
                     pump_envelope(pump, nu_s, nu_i), out=cells)
         cells[((nu_s + nu_i) / pump.sigma) ** 2 > PUMP_CUT] = 0.0
     norm = math.sqrt(np.sum(_row_weights(values)) * grid.step_signal * grid.step_idler)
-    for tile, cols in bands:
-        values[tile, cols] /= norm
-        _flush_tiny(values[tile, cols])
+    _rescale(values, windows, norm)
     return JointAmplitude(grid=grid, values=values, normalized=True)
 
 
@@ -436,26 +434,23 @@ def apply_filter(jsa: JointAmplitude, filt: FilterSpec):
             "renormalized output is dominated by numerical tails",
             stacklevel=2,
         )
-    scale = math.sqrt(transmitted)
-    for rows, cols in blocks:
-        values[rows, cols] /= scale
-        _flush_tiny(values[rows, cols])
+    _rescale(values, blocks, math.sqrt(transmitted))
     return JointAmplitude(grid=jsa.grid, values=values, normalized=True), transmitted
 
 
 def marginals(jsa: JointAmplitude):
     """Signal and idler marginal intensity densities, each integrating to 1.
 
-    One pass over |f|^2 in row tiles, O(tile + n_s + n_i) memory.  The signal
-    marginal is the row weights of norm_squared times the idler step.  The
-    idler marginal adds the rows in order, tile after tile, which gives the
+    One pass over |f|^2 block by block, O(block + n_s + n_i) memory.  The
+    signal marginal is the row weights of norm_squared times the idler step.
+    The idler marginal adds the rows in order, block after block, which gives the
     bits of one column sum over the whole grid.
     """
     sig = np.empty(jsa.grid.n_s)
     idl = np.zeros(jsa.grid.n_i)
-    for rows, w in _intensity_tiles(jsa.values):
+    for rows, w in _intensity_blocks(jsa.values):
         sig[rows] = np.sum(w, axis=1)
-        w[0] += idl  # the running column sums enter as the tile's first row
+        w[0] += idl  # the running column sums enter as the block's first row
         idl = np.sum(w, axis=0)
     return sig * jsa.grid.step_idler, idl * jsa.grid.step_signal
 

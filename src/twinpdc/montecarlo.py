@@ -185,3 +185,12 @@ def extrapolate_zero_power(powers, values, sigmas):
     intercept = (swxx * swy - swx * swxy) / delta
     slope = (sw * swxy - swx * swy) / delta
     return intercept, math.sqrt(swxx / delta), slope
+
+
+def zero_power_efficiencies(points):
+    """{arm: (intercept, its standard error)}: each arm's accidental-corrected
+    Klyshko ratio over a sweep's points, extrapolated to zero power."""
+    powers = [p.power for p in points]
+    return {arm: extrapolate_zero_power(powers, [getattr(p, f"corrected_{arm}") for p in points],
+                                        [getattr(p, f"sigma_{arm}") for p in points])[:2]
+            for arm in ("signal", "idler")}

@@ -17,8 +17,8 @@ import numpy as np
 from . import config as cfgmod
 from .dispersion import pm_tilt_deviation
 from .jsa import FrequencyGrid, apply_filter, build_jsa, fwhm, jsi_linewidth, marginals
-from .montecarlo import (SimConfig, efficiency_sweep, equal_mode_spectrum,
-                         extrapolate_zero_power, simulate)
+from .montecarlo import (SimConfig, efficiency_sweep, equal_mode_spectrum, simulate,
+                         zero_power_efficiencies)
 from .schmidt import (decompose, delay_compensated_overlap, gain_for_mean_n,
                       schmidt_spectral_overlap, spectral_overlap)
 from .twinstats import (DetectionSpec, glauber, mean_n_from_cross, visibility_approx,
@@ -149,27 +149,24 @@ class ReportInputs:
 
     @cached_property
     def sweep_intercepts(self) -> dict:
-        """Zero-power Klyshko efficiency of each arm from a 20-mode power sweep."""
+        """{arm: (intercept, se)}: zero-power Klyshko efficiency from a 20-mode power sweep."""
         lam = equal_mode_spectrum(20)
         det = DetectionSpec(eta1=SWEEP_ETA["signal"], eta2=SWEEP_ETA["idler"],
                             gate_rate=self.gate_rate)
         base = SimConfig(source=lam, gain=1.0, det=det, n_gates=20_000_000,
                          seed=self.seed + 1000)
         powers = [gain_for_mean_n(n, lam) ** 2 for n in SWEEP_MEAN_N]
-        points = efficiency_sweep(base, powers)
-        return {
-            "signal": extrapolate_zero_power(
-                powers, [p.corrected_signal for p in points],
-                [p.sigma_signal for p in points])[0],
-            "idler": extrapolate_zero_power(
-                powers, [p.corrected_idler for p in points],
-                [p.sigma_idler for p in points])[0],
-        }
+        return zero_power_efficiencies(efficiency_sweep(base, powers))
+
+
+def delay_search_range(device):
+    """The signal delays (ps) the delay-compensated overlap searches: +-3 |tau_g|."""
+    span = 3.0 * abs(device.group_delay_ps())
+    return -span, span
 
 
 def _delay_compensated(inputs):
-    span = 3.0 * abs(inputs.device.group_delay_ps())
-    return delay_compensated_overlap(inputs.unfiltered, (-span, span))[1]
+    return delay_compensated_overlap(inputs.unfiltered, delay_search_range(inputs.device))[1]
 
 
 def _balanced_identity(inputs):
@@ -266,7 +263,7 @@ CRITERIA = (
     Criterion("worst |C/A - (1 + 1/K + 1/n)| in sigma units", 0.0, 3.0,
               _estimator_matrix, montecarlo=True),
     *(Criterion(f"extrapolated Klyshko efficiency error, {arm} (pp)", 0.0, 0.2,
-                lambda x, a=arm: abs(x.sweep_intercepts[a] - SWEEP_ETA[a]) * 100.0,
+                lambda x, a=arm: abs(x.sweep_intercepts[a][0] - SWEEP_ETA[a]) * 100.0,
                 montecarlo=True)
       for arm in SWEEP_ETA),
 )

@@ -23,10 +23,11 @@ c_d = sum_m f[m + d, m] conj(f[m, m + d]) dnu^2: real, of period 2 pi / dnu,
 O = O(0); delay_compensated_overlap maximizes |O(tau)| globally over a range.
 
 Every grid computation here reads only the amplitude's band, which each
-JointAmplitude finds once (JointAmplitude.band): the products of decompose
-and density_overlap multiply only the column span of each block of BLOCK_ROWS
-rows, and the lag sums read only the stretch of each diagonal that crosses
-the band.  Every cell outside the band is +0, so each result is that of the
+JointAmplitude finds once (JointAmplitude.band) on the one row partition of
+every pass over a grid, blocks of jsa.BLOCK_ROWS rows: the products of
+decompose and density_overlap multiply only the column span of each block,
+and the lag sums read only the stretch of each diagonal that crosses the
+band's blocks.  Every cell outside the band is +0, so each result is that of the
 dense grid.  decompose needs numpy alone: its products, QRs and SVD all run
 in numpy's one BLAS thread pool.
 """
@@ -309,7 +310,7 @@ def _lag_sums(jsa: JointAmplitude):
     lo, hi = np.full(n, n), np.zeros(n, dtype=int)
     for rows, cols in jsa.band.blocks:
         start = np.maximum(rows.start, cols.start - d)
-        stop = np.minimum(min(rows.stop, n), cols.stop - d)
+        stop = np.minimum(rows.stop, cols.stop - d)
         held = start < stop
         np.minimum(lo, np.where(held, start, n), out=lo)
         np.maximum(hi, np.where(held, stop, 0), out=hi)
@@ -365,8 +366,8 @@ def density_overlap(jsa: JointAmplitude) -> float:
     With F = f sqrt(dnu_s dnu_i), the kernels are g_s = conj(F) F^T and
     g_i = F^dag F, and trace(g_s g_i) = ||F conj(F)||_F^2 = ||f conj(f)||_F^2
     (dnu_s dnu_i)^2, on the amplitude as stored; real in [0, 1], bounded by
-    the purity 1/K.  The product is accumulated over blocks of BLOCK_ROWS rows
-    r of the amplitude's band: the block f[r] conj(f) is f[r, c] conj(f[c, b]),
+    the purity 1/K.  The product is accumulated over the blocks of rows r
+    of the amplitude's band: the block f[r] conj(f) is f[r, c] conj(f[c, b]),
     with c the block's column span and b the span of the rows c, so blocks
     of +0 are never multiplied.
     """

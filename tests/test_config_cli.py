@@ -254,6 +254,20 @@ def test_cli_nonfinite_spec_value_exit_code(tmp_path, capsys, old, new, args):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("old, new, args, key", [
+    ("fwhm_nm = 0.25\ncenter_nm = 772.0", "sigma_radps = 0.67", ["overlap"], "[pump] fwhm_nm"),
+    ("[pump]", "[filter]\nshape = gaussian\nbandwidth_radps = 9.4\n[pump]",
+     ["overlap", "--filter", "custom"], "[filter] bandwidth_nm"),
+], ids=["pump-sigma-radps", "filter-bandwidth-radps"])
+def test_cli_unread_key_spelling_exit_code(tmp_path, capsys, old, new, args, key):
+    """[pump] sigma_radps and [filter] bandwidth_radps are not config keys: a file
+    that sets one in place of the required key exits 2 and names that key."""
+    path = write_cfg(tmp_path, MINIMAL.replace(old, new))
+    assert main([*args, "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"missing {key}" in err
+
+
 def test_cli_degenerate_dispersion_exit_code(tmp_path, capsys):
     """vg_i = vg_p gives kappa_i = 0, so the tilt angle is undefined: a numeric error."""
     path = write_cfg(tmp_path, MINIMAL.replace("vg_i = 90.4", "vg_i = 74.0"))

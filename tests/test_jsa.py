@@ -19,8 +19,8 @@ from twinpdc import (FilterSpec, FrequencyGrid, PumpSpec, apply_filter, build_js
 from twinpdc import config as cfgmod
 from twinpdc.dispersion import delta_k
 from twinpdc.errors import ConfigError, ContractError, RangeError, ResolutionError
-from twinpdc.jsa import PUMP_CUT, TILE_CELLS, JointAmplitude, dump_grid, load_grid
-from twinpdc.units import angular_to_thz, bandwidth_nm_to_angular
+from twinpdc.jsa import BLOCK_ROWS, PUMP_CUT, JointAmplitude, dump_grid, load_grid
+from twinpdc.units import bandwidth_nm_to_angular
 
 from conftest import chirped_jsa, separable_jsa
 
@@ -170,13 +170,12 @@ def row_sum_norm(values):
 @pytest.mark.parametrize("approx", ["sinc", "gaussian"])
 @pytest.mark.parametrize("shape", [(700, 700, 30.0, 30.0), (641, 448, 30.0, 20.0)],
                          ids=["square", "non-square"])
-@pytest.mark.parametrize("tile_cells", [TILE_CELLS, 2200], ids=["default", "3-row"])
+@pytest.mark.parametrize("rows", [BLOCK_ROWS, 3], ids=["default", "3-row"])
 def test_tiled_build_matches_dense_reference_bits(monkeypatch, device, pump, approx,
-                                                  shape, tile_cells):
+                                                  shape, rows):
     grid = FrequencyGrid(*shape)
-    rows = tile_cells // grid.n_i
-    assert 2 * rows < grid.n_s and grid.n_s % rows  # several tiles, a ragged last one
-    monkeypatch.setattr("twinpdc.jsa.TILE_CELLS", tile_cells)
+    assert 2 * rows < grid.n_s and grid.n_s % rows  # several blocks, a ragged last one
+    monkeypatch.setattr("twinpdc.jsa.BLOCK_ROWS", rows)
     assert same_bits(build_jsa(device, pump, grid, approx).values,
                      reference_build_jsa(device, pump, grid, approx))
 
@@ -255,7 +254,7 @@ def traced_peak(func, *args):
 
 
 def test_build_peak_memory_near_the_result(bundled_config, device, pump):
-    """The bundled 2048^2 build allocates only row tiles besides its result: under 4 MiB.
+    """The bundled 2048^2 build allocates only row blocks besides its result: under 4 MiB.
 
     The result lies in demand-zero pages that tracemalloc does not see, so the
     peak is the temporaries alone (a dense build with full meshes allocates
@@ -268,7 +267,7 @@ def test_build_peak_memory_near_the_result(bundled_config, device, pump):
 
 
 def test_filter_peak_memory_near_the_result(bundled_config, device, filter_base_jsa):
-    """Filtering allocates only row tiles and band blocks besides its result: under 4 MiB.
+    """Filtering allocates only row blocks and band blocks besides its result: under 4 MiB.
 
     The result lies in demand-zero pages that tracemalloc does not see (an n^2
     |f|^2 array for the transmission alone would be 8 MiB here).
@@ -332,14 +331,14 @@ def test_only_the_band_becomes_resident(tmp_path):
 
 
 def test_norm_of_bundled_grid_allocates_under_2_mib(unfiltered_jsa):
-    """norm_squared reads |f|^2 in row tiles; an n^2 |f|^2 array would be 32 MiB."""
+    """norm_squared reads |f|^2 one row block at a time; an n^2 |f|^2 array would be 32 MiB."""
     _, peak = traced_peak(unfiltered_jsa.norm_squared)
     assert peak < 2 * 2**20
 
 
 def test_row_reductions_keep_their_bits_across_tile_sizes(monkeypatch, bundled_config,
                                                          device, filter_base_jsa):
-    """The norm, the filter transmission and both marginals do not depend on TILE_CELLS,
+    """The norm, the filter transmission and both marginals do not depend on BLOCK_ROWS,
     and the marginals have the bits of the dense row and column sums of |f|^2."""
     filt = cfgmod.filter_preset("sg40", device, bundled_config)
     grid = filter_base_jsa.grid
@@ -349,42 +348,19 @@ def test_row_reductions_keep_their_bits_across_tile_sizes(monkeypatch, bundled_c
         return (np.array([filter_base_jsa.norm_squared(),
                           apply_filter(filter_base_jsa, filt)[1]]), sig, idl)
     default = reductions()
-    monkeypatch.setattr("twinpdc.jsa.TILE_CELLS", 2200)
+    monkeypatch.setattr("twinpdc.jsa.BLOCK_ROWS", 3)
     assert all(map(same_bits, reductions(), default))
     intensity = np.abs(filter_base_jsa.values) ** 2
     assert same_bits(default[1], intensity.sum(axis=1) * grid.step_idler)
     assert same_bits(default[2], intensity.sum(axis=0) * grid.step_signal)
 
 
-def test_bundled_device_linewidth_and_marginals(device, pump, unfiltered_jsa):
-    lam = device.degeneracy_wavelength_nm
-    width = jsi_linewidth(unfiltered_jsa, "antidiagonal")
-    width_nm = angular_to_thz(width) * lam**2 / 299792.458
-    assert width_nm == pytest.approx(0.6, abs=0.1)
-
-    diag = jsi_linewidth(unfiltered_jsa, "diagonal")
-    assert diag / width > 100.0  # two orders of magnitude broader
-
+def test_bundled_device_linewidth_and_marginals(unfiltered_jsa):
+    """The marginals integrate to 1; the bands on the linewidth, the width ratio and
+    the marginal widths and centres are CRITERIA rows (test_acceptance)."""
     sig, idl = marginals(unfiltered_jsa)
-    step = unfiltered_jsa.grid.step_idler
     assert np.sum(sig) * unfiltered_jsa.grid.step_signal == pytest.approx(1.0, abs=1e-9)
-    assert np.sum(idl) * step == pytest.approx(1.0, abs=1e-9)
-    for axis, dens in ((unfiltered_jsa.grid.axis_signal, sig),
-                       (unfiltered_jsa.grid.axis_idler, idl)):
-        w, _ = fwhm(axis, dens)
-        w_nm = angular_to_thz(w) * lam**2 / 299792.458
-        assert w_nm == pytest.approx(90.0, abs=10.0)
-
-
-def test_marginal_centers_land_on_stated_bands(device, unfiltered_jsa):
-    f_deg = angular_to_thz(device.pump_center) / 2.0
-    sig, idl = marginals(unfiltered_jsa)
-    _, c_s = fwhm(unfiltered_jsa.grid.axis_signal, sig)
-    _, c_i = fwhm(unfiltered_jsa.grid.axis_idler, idl)
-    lam_s = 299792.458 / (f_deg + angular_to_thz(c_s))
-    lam_i = 299792.458 / (f_deg + angular_to_thz(c_i))
-    assert lam_s == pytest.approx(1567.0, abs=3.0)
-    assert lam_i == pytest.approx(1535.0, abs=3.0)
+    assert np.sum(idl) * unfiltered_jsa.grid.step_idler == pytest.approx(1.0, abs=1e-9)
 
 
 # --- filters ----------------------------------------------------------------

@@ -8,6 +8,7 @@ from twinpdc import (DetectionSpec, SimConfig, efficiency_sweep, equal_mode_spec
                      exact_click_probabilities, extrapolate_zero_power,
                      gain_for_mean_n, klyshko, mean_n_from_cross, simulate)
 from twinpdc.errors import ConfigError
+from twinpdc.montecarlo import zero_power_efficiencies
 
 GATE_RATE = 76.2e6 / 64
 
@@ -188,9 +189,9 @@ def test_efficiency_sweep_shapes_and_extrapolation():
         powers, [p.corrected_signal for p in pts], [p.sigma_signal for p in pts])
     assert slope_raw > 0
     assert slope_cor < slope_raw
-    intercept, se, _ = extrapolate_zero_power(
-        powers, [p.corrected_signal for p in pts], [p.sigma_signal for p in pts])
-    assert intercept == pytest.approx(0.060, abs=0.005)
+    intercepts = zero_power_efficiencies(pts)
+    assert intercepts["signal"][0] == pytest.approx(0.060, abs=0.005)
+    assert intercepts["idler"][0] == pytest.approx(0.056, abs=0.005)
 
 
 def test_sweep_rejects_nonpositive_power():

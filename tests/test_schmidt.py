@@ -12,6 +12,7 @@ from twinpdc import (DetectionSpec, FrequencyGrid, JointAmplitude, SchmidtData, 
                      spectral_overlap)
 from twinpdc.errors import ConfigError, ContractError, GridShapeError, RangeError
 from twinpdc.jsa import BLOCK_ROWS
+from twinpdc.report import delay_search_range
 
 from conftest import chirped_jsa, gaussian_mode, separable_jsa
 
@@ -130,7 +131,7 @@ def test_decompose_rejects_unnormalized():
 
 
 def test_bundled_device_highly_multimodal(unfiltered_schmidt):
-    assert unfiltered_schmidt.mode_number > 10.0
+    """Its modes are orthonormal; the band on K is a CRITERIA row (test_acceptance)."""
     ds, di = unfiltered_schmidt.gram_defects()
     assert ds < 1e-6 and di < 1e-6
 
@@ -255,10 +256,6 @@ def test_overlap_needs_square_grid():
         spectral_overlap(jsa)
 
 
-def test_bundled_device_overlap_value(unfiltered_jsa):
-    assert abs(spectral_overlap(unfiltered_jsa)) == pytest.approx(0.26, abs=0.02)
-
-
 def test_filtered_overlaps(bundled_config, device, filter_base_jsa):
     from twinpdc.config import filter_preset
 
@@ -290,9 +287,8 @@ def test_delay_compensation_inverts_linear_phase():
 
 
 def test_bundled_device_delay_compensated_overlap(device, unfiltered_jsa):
-    span = 3.0 * abs(device.group_delay_ps())
-    tau, best = delay_compensated_overlap(unfiltered_jsa, (-span, span))
-    assert best == pytest.approx(0.76, abs=0.02)
+    """The best delay; the band on the overlap there is a CRITERIA row (test_acceptance)."""
+    tau, _ = delay_compensated_overlap(unfiltered_jsa, delay_search_range(device))
     # compensates half the accumulated group delay (phase carries L dk / 2)
     assert tau == pytest.approx(-device.group_delay_ps() / 2, abs=2e-3)
 
