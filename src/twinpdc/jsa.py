@@ -28,10 +28,16 @@ broadband amplitude on a 2048^2 grid holds about a fifth of its 64 MiB in
 memory, and no reader of the grid, dense or banded, makes more of it
 resident.
 
-Each JointAmplitude finds its band once (JointAmplitude.band): the columns
-of each row whose bits are not +0, and the column span of each block.  The
-dump, the filter and every grid product of the schmidt module read only the
-band.
+No pass here or in the schmidt module reads a grid outside its band
+(JointAmplitude.band): the columns of each row whose bits are not +0, and
+the column span of each block.  build_jsa, apply_filter and load_grid hand
+the band over with the grid, found only in the (rows, cols) windows they
+wrote (_find_band), so the pages they never wrote are not even mapped; an
+amplitude built by hand scans every cell for it, once.  The dump, the
+filter, every grid product of the schmidt module and every |f|^2 reduction
+read only the band's blocks.  A reduction takes |f|^2 on a block's span into
+a zeroed scratch of whole rows (_intensity_blocks), so its sums have the
+bits of the dense ones.
 
 Everything operates on detunings from the mode carriers; absolute axes are
 reconstructed only for display.  All transforms are pure and return new
@@ -204,18 +210,25 @@ def _blocks(n_rows):
             for start in range(0, n_rows, BLOCK_ROWS)]
 
 
-def _find_band(values) -> Band:
-    """The Band of a grid, read one block at a time."""
+def _find_band(values, windows=None) -> Band:
+    """The Band of a grid, read only in the given (rows, cols) windows.
+
+    Each window is a block of _blocks, in order, and a column range within
+    the grid; every cell outside the windows must be +0.  Without windows,
+    every block is read whole.
+    """
     n_s, n_i = values.shape
+    if windows is None:
+        windows = [(rows, slice(0, n_i)) for rows in _blocks(n_s)]
     first, end = np.full(n_s, n_i), np.zeros(n_s, dtype=int)
     blocks = []
-    for rows in _blocks(n_s):
-        bits = np.ascontiguousarray(values[rows], dtype=complex).view(np.uint64)
+    for rows, cols in windows:
+        bits = np.ascontiguousarray(values[rows, cols], dtype=complex).view(np.uint64)
         held = (bits[:, 0::2] | bits[:, 1::2]) != 0
         some = held.any(axis=1)
         if some.any():
-            first[rows] = np.where(some, held.argmax(axis=1), n_i)
-            end[rows] = np.where(some, n_i - held[:, ::-1].argmax(axis=1), 0)
+            first[rows] = np.where(some, cols.start + held.argmax(axis=1), n_i)
+            end[rows] = np.where(some, cols.stop - held[:, ::-1].argmax(axis=1), 0)
             blocks.append((rows, slice(int(first[rows].min()), int(end[rows].max()))))
     return Band(first=first, end=end, blocks=tuple(blocks))
 
@@ -239,17 +252,34 @@ class JointAmplitude:
     def cell_area(self):
         return self.grid.step_signal * self.grid.step_idler
 
+    @classmethod
+    def _from_windows(cls, grid, values, windows, normalized=True):
+        """An amplitude whose cells outside the (rows, cols) windows of _find_band are +0.
+
+        Its band is found in the windows alone, so build_jsa, apply_filter and
+        load_grid never scan a grid densely.
+        """
+        jsa = cls(grid=grid, values=values, normalized=normalized)
+        jsa.__dict__["band"] = _find_band(values, windows)  # seeds the cached property
+        return jsa
+
     @cached_property
     def band(self) -> Band:
-        """The Band of values, found on first use; values must not change after it."""
+        """The Band of values, found on first use; values must not change after it.
+
+        build_jsa, apply_filter and load_grid hand it over (_from_windows); an
+        amplitude built by hand scans every cell for it, once.
+        """
         return _find_band(self.values)
 
     def norm_squared(self) -> float:
         """Discrete norm sum |f|^2 dnu_s dnu_i, the sum of the row weights.
 
-        Its temporaries are one block's |f|^2 and the n_s row weights.
+        Only the band's blocks are read (_intensity_blocks); rows outside
+        them weigh +0.  The temporaries are one block's scratch and the n_s
+        row weights.
         """
-        return float(np.sum(_row_weights(self.values)) * self.cell_area)
+        return float(np.sum(_row_weights(self.values, self.band.blocks)) * self.cell_area)
 
     def check_normalized(self, tol=NORMALIZATION_TOL) -> float:
         """Return the discrete norm; raise ContractError if it is off 1 by more than tol."""
@@ -292,19 +322,36 @@ def _principal_widths(spec: DeviceSpec, pump: PumpSpec):
     return pump_width, min(pm_widths) if pm_widths else math.inf
 
 
-def _intensity_blocks(values):
-    """Yield (row slice, |f|^2 of those rows) over the grid, one block at a time."""
-    for rows in _blocks(len(values)):
-        intensity = np.abs(values[rows])
-        yield rows, np.square(intensity, out=intensity)
+def _intensity_blocks(values, windows):
+    """Yield (rows, cols, |f|^2 of the rows) for each (rows, cols) window of _find_band.
 
-
-def _row_weights(values):
-    """Per-row sums sum_i |f[s, i]|^2, with O(block + n_s) memory.
-
-    Each row is summed whole, so the bits do not depend on BLOCK_ROWS.
+    |f|^2 is taken only on the window and written into one zeroed BLOCK_ROWS
+    x n_i scratch, whose other cells hold +0.  So, as long as every cell
+    outside the windows is +0, the yielded rows hold the values of the dense
+    np.abs(values[rows]) ** 2 in its layout, and whole-row and column sums
+    over them have its bits.  The consumer may write only in the window's
+    columns, which are zeroed again before the next window.
     """
-    return np.concatenate([np.sum(w, axis=1) for _, w in _intensity_blocks(values)])
+    scratch = np.zeros((BLOCK_ROWS, values.shape[1]))
+    for rows, cols in windows:
+        w = scratch[:rows.stop - rows.start]
+        cells = w[:, cols]
+        np.abs(values[rows, cols], out=cells)
+        np.square(cells, out=cells)
+        yield rows, cols, w
+        cells[...] = 0.0
+
+
+def _row_weights(values, windows):
+    """Per-row sums sum_i |f[s, i]|^2 of a grid that is +0 outside the windows.
+
+    Each row is summed whole, so the bits do not depend on BLOCK_ROWS; a row
+    outside every window weighs +0.
+    """
+    weights = np.zeros(len(values))
+    for rows, _, w in _intensity_blocks(values, windows):
+        weights[rows] = np.sum(w, axis=1)
+    return weights
 
 
 def _zero_grid(n_s, n_i):
@@ -372,16 +419,16 @@ def build_jsa(spec: DeviceSpec, pump: PumpSpec, grid: FrequencyGrid,
         nu_s = axis_s[rows]
         # every cell of the block with |nu_s + nu_i| <= reach, with one column to spare for rounding
         cols = slice(max(np.searchsorted(axis_i, -nu_s[-1] - reach, "left") - 1, 0),
-                     np.searchsorted(axis_i, reach - nu_s[0], "right") + 1)
+                     min(np.searchsorted(axis_i, reach - nu_s[0], "right") + 1, grid.n_i))
         windows.append((rows, cols))
         nu_s, nu_i = np.meshgrid(nu_s, axis_i[cols], indexing="ij")
         cells = values[rows, cols]
         np.multiply(pm_function(spec, nu_s, nu_i, approximation),
                     pump_envelope(pump, nu_s, nu_i), out=cells)
         cells[((nu_s + nu_i) / pump.sigma) ** 2 > PUMP_CUT] = 0.0
-    norm = math.sqrt(np.sum(_row_weights(values)) * grid.step_signal * grid.step_idler)
+    norm = math.sqrt(np.sum(_row_weights(values, windows)) * grid.step_signal * grid.step_idler)
     _rescale(values, windows, norm)
-    return JointAmplitude(grid=grid, values=values, normalized=True)
+    return JointAmplitude._from_windows(grid, values, windows)
 
 
 def apply_filter(jsa: JointAmplitude, filt: FilterSpec):
@@ -422,7 +469,7 @@ def apply_filter(jsa: JointAmplitude, filt: FilterSpec):
             cells *= signal[rows, None]
         if filt.applies_to in ("idler", "both"):
             cells *= idler[None, cols]
-    transmitted = float(np.sum(_row_weights(values)) * jsa.cell_area)
+    transmitted = float(np.sum(_row_weights(values, blocks)) * jsa.cell_area)
     if transmitted == 0.0:
         raise ResolutionError(
             f"filter ({filt.shape}, {filt.bandwidth:.4g} rad/ps at {filt.center:.4g} rad/ps) "
@@ -435,7 +482,7 @@ def apply_filter(jsa: JointAmplitude, filt: FilterSpec):
             stacklevel=2,
         )
     _rescale(values, blocks, math.sqrt(transmitted))
-    return JointAmplitude(grid=jsa.grid, values=values, normalized=True), transmitted
+    return JointAmplitude._from_windows(jsa.grid, values, blocks), transmitted
 
 
 def marginals(jsa: JointAmplitude):
@@ -446,12 +493,12 @@ def marginals(jsa: JointAmplitude):
     The idler marginal adds the rows in order, block after block, which gives the
     bits of one column sum over the whole grid.
     """
-    sig = np.empty(jsa.grid.n_s)
+    sig = np.zeros(jsa.grid.n_s)
     idl = np.zeros(jsa.grid.n_i)
-    for rows, w in _intensity_blocks(jsa.values):
+    for rows, cols, w in _intensity_blocks(jsa.values, jsa.band.blocks):
         sig[rows] = np.sum(w, axis=1)
-        w[0] += idl  # the running column sums enter as the block's first row
-        idl = np.sum(w, axis=0)
+        w[0, cols] += idl[cols]  # the running column sums enter as the block's first row
+        idl[cols] = np.sum(w[:, cols], axis=0)
     return sig * jsa.grid.step_idler, idl * jsa.grid.step_signal
 
 
@@ -540,7 +587,9 @@ def load_grid(path) -> JointAmplitude:
     is +0, which the _zero_grid result already holds, so it is skipped
     unwritten; the other lines of a chunk are parsed by one np.loadtxt call
     and written into their cells.  So only the band of a dump becomes
-    resident, and the zero lines cost a byte comparison each.
+    resident, and the zero lines cost a byte comparison each.  The result's
+    band is found in the hull of the columns written in each block of
+    _blocks, so neither it nor the norm check reads a cell never written.
 
     Raises:
         ConfigError: naming the file, if a header field is missing or
@@ -567,19 +616,30 @@ def load_grid(path) -> JointAmplitude:
             raise ConfigError(f"grid dump {path} has a malformed header: {exc}") from exc
         values = _zero_grid(grid.n_s, grid.n_i)
         cells = values.reshape(-1)
+        blocks = _blocks(grid.n_s)
+        # per block, the hull lo:hi of the columns of the lines written into it
+        lo, hi = np.full(len(blocks), grid.n_i), np.zeros(len(blocks), dtype=int)
         done, pending = 0, line
+
+        def load(lines):
+            count, held = _load_lines(lines, cells[done:], path, header_lines + done + 1)
+            _widen_hulls(lo, hi, done + held, grid.n_i)
+            return done + count
         for data in iter(lambda: fh.read(LOAD_CHUNK_BYTES), b""):
             chunk = pending + data
             cut = chunk.rfind(b"\n") + 1
             if cut:
-                done += _load_lines(chunk[:cut], cells[done:], path, header_lines + done + 1)
+                done = load(chunk[:cut])
             pending = chunk[cut:]
         if pending:  # the last line, without its line end
-            done += _load_lines(pending + b"\n", cells[done:], path, header_lines + done + 1)
+            done = load(pending + b"\n")
     if done != cells.size:
         raise ConfigError(f"grid dump {path} holds {done} body lines; "
                           f"expected {cells.size} 're im' pairs")
-    jsa = JointAmplitude(grid=grid, values=values, normalized=meta.get("normalized") == "True")
+    windows = [(rows, slice(int(lo[b]), int(hi[b])))
+               for b, rows in enumerate(blocks) if lo[b] < hi[b]]
+    jsa = JointAmplitude._from_windows(grid, values, windows,
+                                       normalized=meta.get("normalized") == "True")
     if jsa.normalized:
         try:
             jsa.check_normalized()
@@ -589,10 +649,13 @@ def load_grid(path) -> JointAmplitude:
 
 
 def _load_lines(chunk, cells, path, first_line):
-    """Parse the whole lines of chunk into cells[0], cells[1], ... and return their count.
+    """Parse the whole lines of chunk into cells[0], cells[1], ...
 
     Lines that are exactly '0 0' are left unwritten; first_line is the file's
     line number of the chunk's first line, for the errors.
+
+    Returns:
+        (the number of lines, the ascending indices of the cells written).
     """
     buf = np.frombuffer(chunk, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
@@ -607,7 +670,7 @@ def _load_lines(chunk, cells, path, first_line):
     zero[zero] = (buf[at] == ord("0")) & (buf[at + 1] == ord(" ")) & (buf[at + 2] == ord("0"))
     held = np.flatnonzero(~zero)
     if held.size == 0:
-        return ends.size
+        return ends.size, held
     text = buf[np.repeat(~zero, ends - starts + 1)].tobytes()
     try:
         with warnings.catch_warnings():
@@ -623,7 +686,20 @@ def _load_lines(chunk, cells, path, first_line):
         raise ConfigError(f"grid dump {path}{where}: expected one 're im' pair of numbers "
                           f"per body line{got}")
     cells[held] = pairs.view(complex).ravel()
-    return ends.size
+    return ends.size, held
+
+
+def _widen_hulls(lo, hi, written, n_i):
+    """Widen each block's column hull lo[b]:hi[b] to hold the cells written.
+
+    written holds flat, row-major indices into an n_i-column grid, ascending.
+    """
+    row, col = np.divmod(written, n_i)
+    block = row // BLOCK_ROWS
+    starts = np.flatnonzero(np.diff(block, prepend=-1))
+    at = block[starts]
+    lo[at] = np.minimum(lo[at], np.minimum.reduceat(col, starts))
+    hi[at] = np.maximum(hi[at], np.maximum.reduceat(col, starts) + 1)
 
 
 def _is_pair(line):

@@ -19,7 +19,8 @@ from twinpdc import (FilterSpec, FrequencyGrid, PumpSpec, apply_filter, build_js
 from twinpdc import config as cfgmod
 from twinpdc.dispersion import delta_k
 from twinpdc.errors import ConfigError, ContractError, RangeError, ResolutionError
-from twinpdc.jsa import BLOCK_ROWS, PUMP_CUT, JointAmplitude, dump_grid, load_grid
+from twinpdc.jsa import (BLOCK_ROWS, PUMP_CUT, JointAmplitude, _find_band, dump_grid,
+                         load_grid)
 from twinpdc.units import bandwidth_nm_to_angular
 
 from conftest import chirped_jsa, separable_jsa
@@ -330,6 +331,48 @@ def test_only_the_band_becomes_resident(tmp_path):
     assert loaded < 0.35 * 64
 
 
+FAULTS_SCRIPT = """
+import resource
+
+from twinpdc import build_jsa, spectral_overlap
+from twinpdc import config as cfgmod
+from twinpdc.jsa import FrequencyGrid, marginals
+
+cfg = cfgmod.load_config(cfgmod.default_config_path())
+grid = cfgmod.grid_from_config(cfg)
+doubled = FrequencyGrid.square(2 * grid.n_s - 1, grid.span_s)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+jsa = build_jsa(cfgmod.device_from_config(cfg), cfgmod.pump_from_config(cfg), doubled,
+                cfgmod.approximation_from_config(cfg))
+jsa.norm_squared()
+jsa.check_normalized()
+marginals(jsa)
+spectral_overlap(jsa)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, jsa.values.nbytes)
+"""
+
+
+def test_no_reader_maps_a_zero_page():
+    """The 4095^2 doubling grid (65,504 pages of 4 KiB) is 5.6% nonzero.
+
+    In a fresh interpreter, its build, norm_squared, check_normalized,
+    marginals and spectral_overlap take under half as many minor page faults
+    as the grid has pages: no pass reads outside the band, so the pages never
+    written are not even mapped to the kernel's zero page (a dense read of
+    the grid took 80k faults, the banded passes take 21k).  Where transparent
+    huge pages are set to "always", a dense read may map huge zero pages and
+    take fewer faults too, so the bound is an upper bound only.
+    """
+    src = str(Path(twinpdc.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    faults, nbytes = map(int, proc.stdout.split())
+    assert faults < 0.5 * nbytes / 4096
+
+
 def test_norm_of_bundled_grid_allocates_under_2_mib(unfiltered_jsa):
     """norm_squared reads |f|^2 one row block at a time; an n^2 |f|^2 array would be 32 MiB."""
     _, peak = traced_peak(unfiltered_jsa.norm_squared)
@@ -344,15 +387,116 @@ def test_row_reductions_keep_their_bits_across_tile_sizes(monkeypatch, bundled_c
     grid = filter_base_jsa.grid
 
     def reductions():
-        sig, idl = marginals(filter_base_jsa)
-        return (np.array([filter_base_jsa.norm_squared(),
-                          apply_filter(filter_base_jsa, filt)[1]]), sig, idl)
+        # built by hand, so its band is found in blocks of the current BLOCK_ROWS
+        jsa = JointAmplitude(grid=grid, values=filter_base_jsa.values, normalized=True)
+        sig, idl = marginals(jsa)
+        return np.array([jsa.norm_squared(), apply_filter(jsa, filt)[1]]), sig, idl
     default = reductions()
     monkeypatch.setattr("twinpdc.jsa.BLOCK_ROWS", 3)
     assert all(map(same_bits, reductions(), default))
     intensity = np.abs(filter_base_jsa.values) ** 2
     assert same_bits(default[1], intensity.sum(axis=1) * grid.step_idler)
     assert same_bits(default[2], intensity.sum(axis=0) * grid.step_signal)
+
+
+def same_band(a, b):
+    return (np.array_equal(a.first, b.first) and np.array_equal(a.end, b.end)
+            and a.blocks == b.blocks)
+
+
+def doubling_grid(bundled_config):
+    """The 4095^2 grid of the doubling check: odd width, and its first window stops at n_i."""
+    grid = cfgmod.grid_from_config(bundled_config)
+    return FrequencyGrid.square(2 * grid.n_s - 1, grid.span_s)
+
+
+@pytest.mark.parametrize("case", ["bundled", "filtered-span", "doubled"])
+def test_built_band_equals_the_dense_scan(bundled_config, device, pump, case):
+    """build_jsa seeds its band from its evaluation windows, with the dense scan's bits."""
+    grid = {"bundled": cfgmod.grid_from_config(bundled_config),
+            "filtered-span": cfgmod.grid_from_config(bundled_config, filtered=True),
+            "doubled": doubling_grid(bundled_config)}[case]
+    jsa = build_jsa(device, pump, grid, cfgmod.approximation_from_config(bundled_config))
+    assert "band" in vars(jsa)  # seeded, not found on first use
+    assert same_band(jsa.band, _find_band(jsa.values))
+    if case == "doubled":
+        assert jsa.band.blocks[0][1].stop == grid.n_i
+
+
+@pytest.mark.parametrize("case", ["g12", "sg40", "idler-only", "flushed-tails"])
+def test_filtered_band_equals_the_dense_scan(bundled_config, device, filter_base_jsa, case):
+    """apply_filter seeds its band from its input's band blocks; where the filter's tails
+    flush to +0, the band shrinks."""
+    if case in ("g12", "sg40"):
+        filt = cfgmod.filter_preset(case, device, bundled_config)
+    elif case == "idler-only":
+        filt = FilterSpec("gaussian", bandwidth=10.0, center=2.0, applies_to="idler")
+    else:
+        filt = FilterSpec("supergaussian", bandwidth=10.0, order=8)
+    out, _ = apply_filter(filter_base_jsa, filt)
+    assert "band" in vars(out)
+    assert same_band(out.band, _find_band(out.values))
+    if case == "flushed-tails":
+        def cells(band):
+            return sum((rows.stop - rows.start) * (cols.stop - cols.start)
+                       for rows, cols in band.blocks)
+        assert cells(out.band) < 0.5 * cells(filter_base_jsa.band)
+
+
+def test_loaded_band_equals_the_dense_scan(tmp_path, device, pump):
+    """load_grid seeds its band from the hull of the lines it wrote in each block: a
+    '0.0 0' line is written as +0 and stays out of the band, and a '-0 0' line holds -0,
+    which is not +0, so it joins the band; CRLF line ends and a missing final newline
+    change nothing."""
+    jsa = build_jsa(device, pump, FrequencyGrid(128, 160, 6.0, 6.0))
+    n_i, first, end = jsa.grid.n_i, jsa.band.first, jsa.band.end
+    edge, outside = 40, 100  # rows whose bands start past the first and end before the last column
+    assert first[edge] > 0 and jsa.values[edge, first[edge] + 1] != 0 and end[outside] < n_i
+    path = tmp_path / "grid.txt"
+    dump_grid(jsa, path)
+    lines = path.read_text().splitlines()
+    body = len(lines) - jsa.grid.n_s * n_i
+    lines[body + edge * n_i + first[edge]] = "0.0 0"
+    lines[body + outside * n_i + n_i - 1] = "-0 0"
+    path.write_bytes("\r\n".join(lines).encode())
+    back = load_grid(path)
+    assert "band" in vars(back)
+    assert same_band(back.band, _find_band(back.values))
+    assert back.band.first[edge] == first[edge] + 1 and back.band.end[outside] == n_i
+    expected = jsa.values.copy()
+    expected[edge, first[edge]], expected[outside, -1] = 0.0, complex(-0.0, 0.0)
+    assert same_bits(back.values, expected)
+
+
+@pytest.fixture(scope="module")
+def doubled_jsa(bundled_config, device, pump):
+    return build_jsa(device, pump, doubling_grid(bundled_config),
+                     cfgmod.approximation_from_config(bundled_config))
+
+
+@pytest.mark.parametrize("case", ["zero-blocks", "doubled"])
+def test_band_reductions_keep_the_dense_bits(doubled_jsa, case):
+    """norm_squared, marginals and the filter transmission read only the band's blocks
+    and keep the bits of the row and column sums of the dense np.abs(values) ** 2: on an
+    odd-width amplitude built by hand, with whole blocks of +0, and on the 4095^2 grid."""
+    jsa = ragged_band_jsa(n_i=221) if case == "zero-blocks" else doubled_jsa
+    g = jsa.grid
+    if case == "zero-blocks":
+        assert len(jsa.band.blocks) < -(-g.n_s // BLOCK_ROWS)
+    intensity = np.abs(jsa.values) ** 2
+    rows, cols = intensity.sum(axis=1), intensity.sum(axis=0)
+    del intensity
+    assert jsa.norm_squared() == float(np.sum(rows) * jsa.cell_area)
+    np.full(g.n_s, np.nan)  # freed at once, so a signal marginal left unwritten reads NaN
+    sig, idl = marginals(jsa)
+    assert same_bits(sig, rows * g.step_idler)
+    assert same_bits(idl, cols * g.step_signal)
+    filt = FilterSpec("gaussian", bandwidth=0.5 * g.span_s, center=0.1 * g.span_s)
+    amp_s, amp_i = filt.amplitude(g.axis_signal), filt.amplitude(g.axis_idler)
+    slabs = [slice(k, k + 1024) for k in range(0, g.n_s, 1024)]  # rows summed whole
+    weights = np.concatenate([np.sum(np.abs(jsa.values[r] * amp_s[r, None] * amp_i) ** 2,
+                                     axis=1) for r in slabs])
+    assert apply_filter(jsa, filt)[1] == float(np.sum(weights) * jsa.cell_area)
 
 
 def test_bundled_device_linewidth_and_marginals(unfiltered_jsa):
