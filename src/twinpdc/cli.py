@@ -69,7 +69,7 @@ def build_parser():
     p = sub.add_parser("jsa", help="build the joint amplitude, export marginals")
     add_spectral(p)
     p.add_argument("--grid", default=None, metavar="N,SPAN_THZ",
-                   help="grid points and span (both spans), e.g. 1024,8.0")
+                   help="grid points and span, e.g. 1024,8.0")
     p.add_argument("--dump", default=None, help="write the complex grid to this file")
 
     p = sub.add_parser("overlap", help="spectral overlap of the twin beams")
@@ -119,7 +119,7 @@ def _load(args):
             n, span = str(int(n)), repr(float(span))
         except ValueError as exc:
             raise ConfigError(f"bad --grid {args.grid!r}") from exc
-        cfg.setdefault("grid", {}).update(points=n, span_thz=span, filtered_span_thz=span)
+        cfg.setdefault("grid", {}).update(points=n, span_thz=span)
     if getattr(args, "filter", None):
         cfg = cfgmod.with_filter_preset(cfg, args.filter)
     return cfg, cfgmod.device_from_config(cfg)
@@ -136,11 +136,15 @@ def _provenance(title, cfg):
 
 
 def _built_jsa(cfg, device):
-    """The amplitude of the effective config, filtered by its [filter] section if any."""
-    filt = cfgmod.filter_from_config(cfg, device)
-    jsa_obj = build_jsa(device, cfgmod.pump_from_config(cfg),
-                        cfgmod.grid_from_config(cfg, filtered=filt is not None),
+    """The amplitude of the effective config, filtered by its [filter] section if any.
+
+    The build's span is checked before any filter: it is the denominator of
+    the transmitted fraction.
+    """
+    jsa_obj = build_jsa(device, cfgmod.pump_from_config(cfg), cfgmod.grid_from_config(cfg),
                         cfgmod.approximation_from_config(cfg))
+    jsa_obj.check_span()
+    filt = cfgmod.filter_from_config(cfg, device)
     if filt is None:
         return jsa_obj, None
     return apply_filter(jsa_obj, filt)

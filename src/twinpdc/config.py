@@ -93,10 +93,12 @@ def pump_from_config(cfg) -> PumpSpec:
 
 
 def grid_from_config(cfg, filtered=False) -> FrequencyGrid:
-    """Square grid from [grid]; the filtered studies default to a tighter span."""
+    """The one square grid of [grid] points and span_thz, filtered studies included.
+
+    filtered selects nothing; it is accepted for callers that still pass it.
+    """
     points = _get(cfg, "grid", "points", int, default=2048)
-    key = "filtered_span_thz" if filtered else "span_thz"
-    span_thz = _get(cfg, "grid", key, float, default=6.0 if filtered else 12.0)
+    span_thz = _get(cfg, "grid", "span_thz", float, default=12.0)
     return FrequencyGrid.square(points, thz_to_angular(span_thz))
 
 

@@ -145,11 +145,14 @@ def efficiency_sweep(cfg: SimConfig, pump_powers):
 
     Each point runs cfg.n_gates gates on a decorrelated stream derived from
     cfg.seed and the point index.  Every power is checked before the first
-    point is simulated.
+    point is simulated, and the sweep needs two distinct powers: its points
+    are extrapolated to zero power along a line.
     """
     for power in pump_powers:
         if not 0.0 < power < math.inf:
             raise ConfigError(f"pump powers must be positive and finite, got {power}")
+    if len(set(pump_powers)) < 2:
+        raise ConfigError(f"a sweep needs at least two distinct pump powers, got {pump_powers}")
     points = []
     for idx, power in enumerate(pump_powers):
         gain = math.sqrt(power)

@@ -94,8 +94,10 @@ class ReportInputs:
 
     @cached_property
     def unfiltered(self):
-        return build_jsa(self.device, self.pump, cfgmod.grid_from_config(self.cfg),
-                         self.approx)
+        jsa_obj = build_jsa(self.device, self.pump, cfgmod.grid_from_config(self.cfg),
+                            self.approx)
+        jsa_obj.check_span()
+        return jsa_obj
 
     @cached_property
     def unfiltered_overlap(self) -> float:
@@ -110,14 +112,8 @@ class ReportInputs:
                             self.approx)
         return abs(spectral_overlap(doubled))
 
-    @cached_property
-    def filtered(self):
-        """Unfiltered amplitude on the tighter span of the filter studies."""
-        return build_jsa(self.device, self.pump,
-                         cfgmod.grid_from_config(self.cfg, filtered=True), self.approx)
-
     def filtered_overlap(self, preset) -> float:
-        jsa_obj, _ = apply_filter(self.filtered,
+        jsa_obj, _ = apply_filter(self.unfiltered,
                                   cfgmod.filter_preset(preset, self.device, self.cfg))
         return abs(spectral_overlap(jsa_obj))
 
@@ -223,8 +219,8 @@ class Criterion:
 
 
 # Row order is evaluation order: the grid-doubling row runs before the
-# filtered amplitude and the Schmidt modes are cached, so they do not add to
-# the 4095^2 build's peak memory.
+# Schmidt modes are cached, so they do not add to the 4095^2 build's peak
+# memory; each filtered amplitude is dropped once its overlap is taken.
 CRITERIA = (
     Criterion("phasematching tilt deviation (deg)", 0.4, 0.6,
               lambda x: pm_tilt_deviation(x.device)),

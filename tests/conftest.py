@@ -6,6 +6,7 @@ from twinpdc import build_jsa
 from twinpdc import config as cfgmod
 from twinpdc.jsa import FrequencyGrid
 from twinpdc.report import ReportInputs
+from twinpdc.units import thz_to_angular
 
 
 @pytest.fixture(scope="session")
@@ -48,9 +49,9 @@ def doubling_overlap_pair(report_inputs):
 
 @pytest.fixture(scope="session")
 def filter_base_jsa(bundled_config, device, pump):
-    """Mid-resolution amplitude on the filtered-study span (cheap SVDs)."""
-    grid = FrequencyGrid.square(1024, cfgmod.grid_from_config(
-        bundled_config, filtered=True).span_s)
+    """Mid-resolution amplitude on a +-6 THz span (cheap SVDs), a grid distinct from
+    the config's: at +-12 THz, 1024 points fail the resolution check."""
+    grid = FrequencyGrid.square(1024, thz_to_angular(6.0))
     return build_jsa(device, pump, grid,
                      cfgmod.approximation_from_config(bundled_config))
 

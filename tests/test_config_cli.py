@@ -179,6 +179,39 @@ def test_cli_jsa_narrow_span_writes_nothing(tmp_path, capsys):
     assert not out.exists() and not dump.exists()
 
 
+def test_cli_span_that_cuts_the_amplitude_writes_nothing(tmp_path, capsys):
+    """At +-9 THz the border columns hold 1.6e-4 of the norm, which moves |O| by 0.0039:
+    the span check exits 3, names the shares and writes nothing."""
+    out = tmp_path / "out"
+    dump = tmp_path / "grid.txt"
+    code = main(["jsa", "--grid", "2048,9.0", "--out", str(out), "--dump", str(dump)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "border rows hold 2.2e-05 and its border columns 1.6e-04" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not dump.exists()
+
+
+def test_cli_filter_transmission_is_taken_on_a_span_that_holds_the_amplitude(
+        bundled_config, device, pump):
+    """The g12 transmitted fraction of the CLI equals the one on a grid of the same step
+    and twice the span (4095 points, +-24 THz), to 1e-3 relative: 0.0965.  A span that
+    cuts the unfiltered marginals near half maximum read 0.1166."""
+    from twinpdc import apply_filter, build_jsa
+    from twinpdc.cli import _built_jsa
+    from twinpdc.jsa import FrequencyGrid
+
+    cfg = cfgmod.with_filter_preset(bundled_config, "g12")
+    _, transmitted = _built_jsa(cfg, device)
+    grid = cfgmod.grid_from_config(cfg)
+    wide = FrequencyGrid.square(2 * grid.n_s - 1, 2 * grid.span_s)
+    assert wide.step_signal == pytest.approx(grid.step_signal, rel=1e-12)
+    _, converged = apply_filter(
+        build_jsa(device, pump, wide, cfgmod.approximation_from_config(cfg)),
+        cfgmod.filter_from_config(cfg, device))
+    assert transmitted == pytest.approx(converged, rel=1e-3)
+
+
 def test_cli_fit_missing_input_exit_code(tmp_path, capsys):
     code = main(["fit", str(tmp_path / "missing.csv"), "--out", str(tmp_path)])
     assert code == 2
@@ -196,8 +229,11 @@ def test_cli_overlap_report(capsys):
 
 
 def test_cli_delay_compensation_with_zero_group_delay(tmp_path, capsys):
+    """Equal signal and idler group velocities: the delay search has no range.  Their
+    marginals are wide, so the span is +-10 THz (at +-3 THz the border rows held 9.8e-4
+    of the norm, which the span check rejects)."""
     text = MINIMAL.replace("vg_i = 90.4", "vg_i = 90.1") + (
-        "\n[grid]\npoints = 1024\nspan_thz = 3.0\n")
+        "\n[grid]\npoints = 1536\nspan_thz = 10.0\n")
     code = main(["overlap", "--compensate-delay", "--config", write_cfg(tmp_path, text)])
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
@@ -309,6 +345,16 @@ def test_cli_montecarlo_saturated_sweep_exit_code(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("powers", ["0.1", "0.1,0.1"])
+def test_cli_montecarlo_sweep_without_two_powers_exit_code(tmp_path, capsys, powers):
+    """A sweep is extrapolated to zero power along a line, so it needs two distinct
+    powers; with fewer it exits 2 before simulating and writes nothing."""
+    assert main(["montecarlo", "--sweep", powers, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: a sweep needs at least two distinct pump powers" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_cli_montecarlo_deterministic(tmp_path, capsys):
     args = ["montecarlo", "--gates", "200000", "--seed", "9",
             "--out", str(tmp_path)]
@@ -401,9 +447,10 @@ def test_cli_schmidt_spectrum(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, name, columns, folded", [
-    (["jsa", "--grid", "1536,12.0", "--approx", "sinc"], "marginals.csv",
+    # the sinc tails need +-16 THz: at +-12 THz the border columns hold 2.8e-5 of the norm
+    (["jsa", "--grid", "2048,16.0", "--approx", "sinc"], "marginals.csv",
      "detuning_signal,marginal_signal,detuning_idler,marginal_idler",
-     ["grid.points = 1536", "grid.span_thz = 12.0", "grid.approximation = sinc"]),
+     ["grid.points = 2048", "grid.span_thz = 16.0", "grid.approximation = sinc"]),
     (["schmidt", "--filter", "g12"], "schmidt_spectrum.csv", "k,coefficient",
      ["filter.shape = gaussian", "filter.bandwidth_nm = 12.0"]),
     (["visibility", "--overlap", "0.9", "--eta1", "0.5"], "visibility.csv",

@@ -1,5 +1,6 @@
 """Joint-amplitude assembly, filters, marginals and linewidths."""
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -19,9 +20,9 @@ from twinpdc import (FilterSpec, FrequencyGrid, PumpSpec, apply_filter, build_js
 from twinpdc import config as cfgmod
 from twinpdc.dispersion import delta_k
 from twinpdc.errors import ConfigError, ContractError, RangeError, ResolutionError
-from twinpdc.jsa import (BLOCK_ROWS, PUMP_CUT, JointAmplitude, _find_band, dump_grid,
-                         load_grid)
-from twinpdc.units import bandwidth_nm_to_angular
+from twinpdc.jsa import (BLOCK_ROWS, PUMP_CUT, SPAN_TOL, JointAmplitude, _find_band,
+                         _zero_grid, dump_grid, load_grid)
+from twinpdc.units import bandwidth_nm_to_angular, thz_to_angular
 
 from conftest import chirped_jsa, separable_jsa
 
@@ -124,6 +125,25 @@ def test_build_underresolved_grid_rejected():
     spec = symmetric_spec()
     with pytest.raises(ResolutionError):
         build_jsa(spec, PumpSpec(sigma=0.8), FrequencyGrid.square(16, 40.0))
+
+
+def test_span_check_reads_the_border_shares():
+    """check_span returns the norm shares of the two border rows and of the two border
+    columns, and raises where either is above SPAN_TOL."""
+    def dense_shares(jsa):
+        intensity = np.abs(jsa.values) ** 2
+        rows, cols = intensity.sum(axis=1), intensity.sum(axis=0)
+        return (rows[0] + rows[-1]) / rows.sum(), (cols[0] + cols[-1]) / cols.sum()
+    held = separable_jsa(n=128, span=5.0, width_s=1.0, width_i=1.6)
+    shares = held.check_span()
+    assert 0.0 < shares[0] < shares[1] < SPAN_TOL
+    assert shares == pytest.approx(dense_shares(held), rel=1e-12)
+    # three times wider in the idler: only the columns are cut
+    cut = separable_jsa(n=128, span=5.0, width_s=1.0, width_i=3.0)
+    rows, cols = dense_shares(cut)
+    assert rows < SPAN_TOL < cols
+    with pytest.raises(ResolutionError, match=f"border columns {cols:.1e}"):
+        cut.check_span()
 
 
 def test_build_phase_matches_mismatch_pointwise(device, pump):
@@ -331,6 +351,24 @@ def test_only_the_band_becomes_resident(tmp_path):
     assert loaded < 0.35 * 64
 
 
+@pytest.mark.skipif(not (Path("/proc/self/smaps").exists() and hasattr(mmap, "MADV_NOHUGEPAGE")),
+                    reason="needs /proc/self/smaps and mmap.MADV_NOHUGEPAGE")
+def test_grids_are_advised_against_huge_pages():
+    """A grid's map carries the no-huge-page flag (nh), so a written cell makes one 4 KiB
+    page resident, not 2 MiB, whatever the host's transparent huge page mode."""
+    values = _zero_grid(64, 64)
+    address, flags = values.ctypes.data, None
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            head = line.split(None, 1)[0]
+            if "-" in head and not head.endswith(":"):  # "start-end perms ..." opens a map
+                start, end = (int(x, 16) for x in head.split("-"))
+                inside = start <= address < end
+            elif head == "VmFlags:" and inside:
+                flags = line.split()[1:]
+    assert flags is not None and "nh" in flags
+
+
 FAULTS_SCRIPT = """
 import resource
 
@@ -414,7 +452,7 @@ def doubling_grid(bundled_config):
 def test_built_band_equals_the_dense_scan(bundled_config, device, pump, case):
     """build_jsa seeds its band from its evaluation windows, with the dense scan's bits."""
     grid = {"bundled": cfgmod.grid_from_config(bundled_config),
-            "filtered-span": cfgmod.grid_from_config(bundled_config, filtered=True),
+            "filtered-span": FrequencyGrid.square(2048, thz_to_angular(6.0)),
             "doubled": doubling_grid(bundled_config)}[case]
     jsa = build_jsa(device, pump, grid, cfgmod.approximation_from_config(bundled_config))
     assert "band" in vars(jsa)  # seeded, not found on first use
