@@ -65,12 +65,14 @@ def build_parser():
                        choices=[*cfgmod.FILTER_PRESETS, "custom"])
         p.add_argument("--approx", dest="grid.approximation", default=None,
                        choices=["sinc", "gaussian"])
+        p.add_argument("--grid", default=None, metavar="N,SPAN_THZ",
+                       help="grid points and span, e.g. 1024,8.0")
 
     p = sub.add_parser("jsa", help="build the joint amplitude, export marginals")
     add_spectral(p)
-    p.add_argument("--grid", default=None, metavar="N,SPAN_THZ",
-                   help="grid points and span, e.g. 1024,8.0")
-    p.add_argument("--dump", default=None, help="write the complex grid to this file")
+    p.add_argument("--dump", default=None,
+                   help="write the complex grid's pump band to this file as .npy arrays "
+                        "(read back by twinpdc.jsa.load_grid)")
 
     p = sub.add_parser("overlap", help="spectral overlap of the twin beams")
     add_spectral(p)

@@ -43,7 +43,6 @@ Everything operates on detunings from the mode carriers; absolute axes are
 reconstructed only for display.  All transforms are pure and return new
 values.
 """
-import io
 import math
 import mmap
 import warnings
@@ -82,8 +81,10 @@ BLOCK_ROWS = 32
 # the smallest normal double: amplitude parts below it in magnitude are stored as +0
 TINY = np.finfo(float).tiny
 
-# bytes of a grid dump's body that load_grid reads at a time, cut back to the last line end
-LOAD_CHUNK_BYTES = 1 << 20
+# the last header line of every grid dump: the arrays that follow it (see dump_grid)
+DUMP_LAYOUT = ("band-only grid dump: spans [span_s, span_i] rad/ps; [n_s, n_i, normalized]; "
+               "band first and end of each signal row; the band's cells row by row, "
+               "amplitude (rad/ps)^-1")
 
 
 @dataclass(frozen=True)
@@ -576,163 +577,97 @@ def jsi_linewidth(jsa: JointAmplitude, axis="antidiagonal") -> float:
 
 
 def dump_grid(jsa: JointAmplitude, path, header_lines=()):
-    """Write the amplitude as a text header plus row-major 're im' pairs.
+    """Write the amplitude's band as a run of .npy arrays in one binary file.
 
-    Each double is printed with '%.17g', the shortest fixed-precision form
-    that reads back to the same bits, one 're im' pair per line.  Each row's
-    band is one C-level %-format call, and the +0 cells on either side of it
-    are one slice of a preformatted row of '0 0' lines.
+    The arrays, in order: the header lines and DUMP_LAYOUT (str); the spans
+    [span_s, span_i] (float64); [n_s, n_i, normalized] (int64); the band's
+    first and end of each row (int64, see Band); and the band's cells, row
+    after row (complex128).  Every other cell is +0, so the file holds the
+    grid bit for bit: the bundled 2048^2 amplitude takes 3.75 MB, where every
+    cell would take 64 MiB.  The arrays go through one open handle, since
+    np.save given a path appends '.npy' to it.
     """
-    g = jsa.grid
-    parts = np.ascontiguousarray(jsa.values, dtype=complex).view(float)
-    parts = parts.reshape(g.n_s, 2 * g.n_i)
-    band = jsa.band
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(f"# n_s={g.n_s} n_i={g.n_i} span_s={g.span_s!r} span_i={g.span_i!r}\n")
-        fh.write(f"# normalized={jsa.normalized}\n")
-        fh.write("# units: detuning rad/ps, amplitude (rad/ps)^-1; "
-                 "row-major over (signal, idler); one 're im' pair per line\n")
-        zero_row = "0 0\n" * g.n_i
-        for row, lo, hi in zip(parts, band.first.tolist(), band.end.tolist()):
-            if lo >= hi:
-                fh.write(zero_row)
-                continue
-            fh.write(zero_row[:4 * lo])
-            fh.write("%.17g %.17g\n" * (hi - lo) % tuple(row[2 * lo:2 * hi].tolist()))
-            fh.write(zero_row[4 * hi:])
+    g, band = jsa.grid, jsa.band
+    # a row of +0 has first = n_i > end = 0, so its slice is empty
+    cells = [row[lo:hi] for row, lo, hi in zip(jsa.values, band.first.tolist(), band.end.tolist())]
+    arrays = (np.array([*header_lines, DUMP_LAYOUT], dtype=str),
+              np.array([g.span_s, g.span_i], dtype=float),
+              np.array([g.n_s, g.n_i, int(jsa.normalized)], dtype=np.int64),
+              band.first.astype(np.int64), band.end.astype(np.int64),
+              np.concatenate(cells, dtype=complex))
+    with open(path, "wb") as fh:
+        for array in arrays:
+            np.save(fh, array, allow_pickle=False)
 
 
 def load_grid(path) -> JointAmplitude:
     """Read an amplitude written by dump_grid, bit for bit.
 
-    The header is every leading '#' line.  Each line after it is one 're im'
-    pair, the cells in row-major order; LF and CRLF line ends are read alike,
-    and the last line may lack its line end.  The body is streamed in chunks
-    of about LOAD_CHUNK_BYTES cut at line ends.  A line that is exactly '0 0'
-    is +0, which the _zero_grid result already holds, so it is skipped
-    unwritten; the other lines of a chunk are parsed by one np.loadtxt call
-    and written into their cells.  So only the band of a dump becomes
-    resident, and the zero lines cost a byte comparison each.  The result's
-    band is found in the hull of the columns written in each block of
-    _blocks, so neither it nor the norm check reads a cell never written.
+    The arrays are read in dump_grid's order with allow_pickle=False, so a
+    file can hold no object, and each is checked before the next is read.
+    Only the band's cells are written into the _zero_grid result, so only
+    the band becomes resident.  The result's band is found in each block's
+    hull of first:end, so neither it nor the norm check reads a cell never
+    written.
 
     Raises:
-        ConfigError: naming the file, if a header field is missing or
-            malformed, the body does not hold n_s * n_i lines, a body line
-            (blank and '#' lines included) is not one pair of numbers, also
-            naming its line number, or a file marked normalized=True is not
-            normalized to NORMALIZATION_TOL.
+        ConfigError: naming the file, if it does not hold these arrays in
+            order and nothing else (a truncated file, a text dump, an object
+            array, an array of another dtype or length), a row's band is
+            neither within 0:n_i nor the empty n_i:0, the cells do not number
+            sum(end - first), or a file marked normalized is not normalized
+            to NORMALIZATION_TOL.
     """
-    meta = {}
     with open(path, "rb") as fh:
-        line, header_lines = fh.readline(), 0
-        while line.startswith(b"#"):
-            for tok in line[1:].decode(errors="replace").split():
-                if "=" in tok:
-                    k, _, v = tok.partition("=")
-                    meta[k] = v
-            line, header_lines = fh.readline(), header_lines + 1
-        try:
-            grid = FrequencyGrid(int(meta["n_s"]), int(meta["n_i"]),
-                                 float(meta["span_s"]), float(meta["span_i"]))
-        except KeyError as exc:
-            raise ConfigError(f"grid dump {path} missing header field {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"grid dump {path} has a malformed header: {exc}") from exc
-        values = _zero_grid(grid.n_s, grid.n_i)
-        cells = values.reshape(-1)
-        blocks = _blocks(grid.n_s)
-        # per block, the hull lo:hi of the columns of the lines written into it
-        lo, hi = np.full(len(blocks), grid.n_i), np.zeros(len(blocks), dtype=int)
-        done, pending = 0, line
+        if not fh.peek(6).startswith(np.lib.format.MAGIC_PREFIX):
+            raise ConfigError(f"grid dump {path} is not a .npy file: a grid dump is a run of "
+                              ".npy arrays, and text dumps are no longer read")
 
-        def load(lines):
-            count, held = _load_lines(lines, cells[done:], path, header_lines + done + 1)
-            _widen_hulls(lo, hi, done + held, grid.n_i)
-            return done + count
-        for data in iter(lambda: fh.read(LOAD_CHUNK_BYTES), b""):
-            chunk = pending + data
-            cut = chunk.rfind(b"\n") + 1
-            if cut:
-                done = load(chunk[:cut])
-            pending = chunk[cut:]
-        if pending:  # the last line, without its line end
-            done = load(pending + b"\n")
-    if done != cells.size:
-        raise ConfigError(f"grid dump {path} holds {done} body lines; "
-                          f"expected {cells.size} 're im' pairs")
-    windows = [(rows, slice(int(lo[b]), int(hi[b])))
-               for b, rows in enumerate(blocks) if lo[b] < hi[b]]
-    jsa = JointAmplitude._from_windows(grid, values, windows,
-                                       normalized=meta.get("normalized") == "True")
+        def read(what, dtype, size=None):
+            try:
+                array = np.load(fh, allow_pickle=False)
+            except (ValueError, EOFError, MemoryError) as exc:  # MemoryError: a huge shape
+                raise ConfigError(f"grid dump {path}: cannot read its {what}: {exc}") from exc
+            if not (isinstance(array, np.ndarray) and np.issubdtype(array.dtype, dtype)
+                    and array.ndim == 1 and (size is None or array.size == size)):
+                got = (f"{array.dtype} of shape {array.shape}" if isinstance(array, np.ndarray)
+                       else type(array).__name__)
+                length = "" if size is None else f" of length {size}"
+                raise ConfigError(f"grid dump {path}: its {what} are not a 1-D "
+                                  f"{np.dtype(dtype).name} array{length}, got {got}")
+            return array
+        read("header lines", np.str_)
+        spans = read("spans", np.float64, 2)
+        n_s, n_i, normalized = read("sizes", np.int64, 3).tolist()
+        try:
+            grid = FrequencyGrid(n_s, n_i, *spans.tolist())
+        except ConfigError as exc:
+            raise ConfigError(f"grid dump {path}: {exc}") from exc
+        if normalized not in (0, 1):
+            raise ConfigError(f"grid dump {path}: its normalized flag is {normalized}, not 0 or 1")
+        first, end = (read("band first columns", np.int64, n_s),
+                      read("band end columns", np.int64, n_s))
+        held = first < end
+        bad = ~((held & (first >= 0) & (end <= n_i)) | ((first == n_i) & (end == 0)))
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise ConfigError(f"grid dump {path}: row {r} has the band {first[r]}:{end[r]}, "
+                              f"neither within 0:{n_i} nor the empty {n_i}:0")
+        rows = np.flatnonzero(held)
+        cells = read("band cells", np.complex128, int(np.sum(end[rows] - first[rows])))
+        if fh.read(1):
+            raise ConfigError(f"grid dump {path} holds bytes after its band cells")
+    values = _zero_grid(n_s, n_i)
+    at = 0
+    for r, lo, hi in zip(rows.tolist(), first[rows].tolist(), end[rows].tolist()):
+        values[r, lo:hi] = cells[at:at + hi - lo]
+        at += hi - lo
+    windows = [(block, slice(int(first[block].min()), int(end[block].max())))
+               for block in _blocks(n_s) if held[block].any()]
+    jsa = JointAmplitude._from_windows(grid, values, windows, normalized=bool(normalized))
     if jsa.normalized:
         try:
             jsa.check_normalized()
         except ContractError as exc:
             raise ConfigError(f"grid dump {path} says normalized=True: {exc}") from exc
     return jsa
-
-
-def _load_lines(chunk, cells, path, first_line):
-    """Parse the whole lines of chunk into cells[0], cells[1], ...
-
-    Lines that are exactly '0 0' are left unwritten; first_line is the file's
-    line number of the chunk's first line, for the errors.
-
-    Returns:
-        (the number of lines, the ascending indices of the cells written).
-    """
-    buf = np.frombuffer(chunk, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if ends.size > cells.size:
-        raise ConfigError(f"grid dump {path} line {first_line + cells.size}: "
-                          "the body holds more lines than the grid has cells")
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    # a CRLF line ends before its '\r'; at ends[0] == 0, buf[-1] is the chunk's last '\n'
-    stops = ends - (buf[ends - 1] == ord("\r"))
-    zero = stops - starts == 3
-    at = starts[zero]
-    zero[zero] = (buf[at] == ord("0")) & (buf[at + 1] == ord(" ")) & (buf[at + 2] == ord("0"))
-    held = np.flatnonzero(~zero)
-    if held.size == 0:
-        return ends.size, held
-    text = buf[np.repeat(~zero, ends - starts + 1)].tobytes()
-    try:
-        with warnings.catch_warnings():
-            # loadtxt warns of a chunk whose lines are all blank; the shape check reports it
-            warnings.simplefilter("ignore", UserWarning)
-            pairs = np.loadtxt(io.BytesIO(text), dtype=float, comments=None, ndmin=2)
-    except ValueError:
-        pairs = None
-    if pairs is None or pairs.shape != (held.size, 2):
-        bad = next((k for k in held if not _is_pair(chunk[starts[k]:stops[k]])), None)
-        where = "" if bad is None else f" line {first_line + bad}"
-        got = "" if bad is None else f", got {chunk[starts[bad]:stops[bad]]!r}"
-        raise ConfigError(f"grid dump {path}{where}: expected one 're im' pair of numbers "
-                          f"per body line{got}")
-    cells[held] = pairs.view(complex).ravel()
-    return ends.size, held
-
-
-def _widen_hulls(lo, hi, written, n_i):
-    """Widen each block's column hull lo[b]:hi[b] to hold the cells written.
-
-    written holds flat, row-major indices into an n_i-column grid, ascending.
-    """
-    row, col = np.divmod(written, n_i)
-    block = row // BLOCK_ROWS
-    starts = np.flatnonzero(np.diff(block, prepend=-1))
-    at = block[starts]
-    lo[at] = np.minimum(lo[at], np.minimum.reduceat(col, starts))
-    hi[at] = np.maximum(hi[at], np.maximum.reduceat(col, starts) + 1)
-
-
-def _is_pair(line):
-    """Whether one body line, without its line end, holds exactly two numbers."""
-    try:
-        return bool(line.strip()) and np.loadtxt(
-            [line.decode("latin-1")], dtype=float, comments=None, ndmin=2).shape == (1, 2)
-    except ValueError:
-        return False

@@ -76,15 +76,6 @@ class SchmidtData:
     def purity(self) -> float:
         return 1.0 / self.mode_number
 
-    def gram_defects(self):
-        """Max |G - I| entries of the signal and idler mode Gram matrices."""
-        out = []
-        for modes, step in ((self.signal_modes, self.step_signal),
-                            (self.idler_modes, self.step_idler)):
-            gram = modes.conj().T @ modes * step
-            out.append(float(np.max(np.abs(gram - np.eye(gram.shape[0])))))
-        return tuple(out)
-
     def truncated(self, cutoff):
         """The fewest leading modes (at least one) whose discarded weight is at most cutoff.
 
@@ -102,11 +93,6 @@ class SchmidtData:
             idler_modes=self.idler_modes[:, :keep],
             truncation_residual=float(dropped[keep]),
         )
-
-    def reconstruct(self):
-        """Amplitude values rebuilt from the kept modes."""
-        lam = self.coefficients
-        return (self.signal_modes * lam[None, :]) @ self.idler_modes.T
 
 
 def _dot(f: JointAmplitude, x):
@@ -223,10 +209,13 @@ def decompose(jsa: JointAmplitude, rank_cutoff=DEFAULT_RANK_CUTOFF) -> SchmidtDa
     product.
 
     Raises:
-        ContractError: if the input is not normalized.
+        ContractError: if the input is not normalized, or rank_cutoff is NaN
+            or negative.
     """
     if not jsa.normalized:
         raise ContractError("decompose requires a normalized JointAmplitude")
+    if not rank_cutoff >= 0.0:  # False for NaN
+        raise ContractError(f"rank_cutoff must be a weight >= 0, got {rank_cutoff!r}")
     norm_squared = jsa.check_normalized(tol=1e-6)
     ds, di = jsa.grid.step_signal, jsa.grid.step_idler
     full = min(jsa.values.shape)

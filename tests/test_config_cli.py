@@ -152,7 +152,7 @@ def test_cli_jsa_writes_marginals(tmp_path, capsys):
 def test_cli_jsa_dump_roundtrip(tmp_path):
     from twinpdc.jsa import load_grid
 
-    dump = str(tmp_path / "grid.txt")
+    dump = str(tmp_path / "grid.npy")
     code = main(["jsa", "--grid", "1536,12.0", "--out", str(tmp_path),
                  "--dump", dump])
     assert code == 0
@@ -163,16 +163,32 @@ def test_cli_jsa_dump_roundtrip(tmp_path):
 
 def test_cli_jsa_dump_missing_dir_exit_code(tmp_path, capsys):
     code = main(["jsa", "--grid", "1536,12.0", "--out", str(tmp_path),
-                 "--dump", str(tmp_path / "missing" / "grid.txt")])
+                 "--dump", str(tmp_path / "missing" / "grid.npy")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_cli_overlap_takes_the_bundled_grid_flag(capsys):
+    """--grid set to the bundled grid prints what the bundled config prints, byte for byte."""
+    assert main(["overlap"]) == 0
+    bundled = capsys.readouterr().out
+    assert main(["overlap", "--grid", "2048,12.0"]) == 0
+    assert capsys.readouterr().out == bundled
+
+
+@pytest.mark.parametrize("flag", ["2048,x", "2048", "2048,12.0,1"])
+def test_cli_schmidt_bad_grid_flag_exit_code(tmp_path, capsys, flag):
+    assert main(["schmidt", "--grid", flag, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: bad --grid {flag!r}\n"
+    assert not (tmp_path / "schmidt_spectrum.csv").exists()
+
+
 def test_cli_jsa_narrow_span_writes_nothing(tmp_path, capsys):
     """A span narrower than the marginals exits 3 before any output is written."""
     out = tmp_path / "out"
-    dump = tmp_path / "grid.txt"
+    dump = tmp_path / "grid.npy"
     code = main(["jsa", "--grid", "512,4.0", "--out", str(out), "--dump", str(dump)])
     assert code == 3
     assert "Traceback" not in capsys.readouterr().err
@@ -183,7 +199,7 @@ def test_cli_span_that_cuts_the_amplitude_writes_nothing(tmp_path, capsys):
     """At +-9 THz the border columns hold 1.6e-4 of the norm, which moves |O| by 0.0039:
     the span check exits 3, names the shares and writes nothing."""
     out = tmp_path / "out"
-    dump = tmp_path / "grid.txt"
+    dump = tmp_path / "grid.npy"
     code = main(["jsa", "--grid", "2048,9.0", "--out", str(out), "--dump", str(dump)])
     assert code == 3
     err = capsys.readouterr().err

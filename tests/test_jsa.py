@@ -1,4 +1,5 @@
 """Joint-amplitude assembly, filters, marginals and linewidths."""
+import io
 import math
 import mmap
 import os
@@ -20,8 +21,8 @@ from twinpdc import (FilterSpec, FrequencyGrid, PumpSpec, apply_filter, build_js
 from twinpdc import config as cfgmod
 from twinpdc.dispersion import delta_k
 from twinpdc.errors import ConfigError, ContractError, RangeError, ResolutionError
-from twinpdc.jsa import (BLOCK_ROWS, PUMP_CUT, SPAN_TOL, JointAmplitude, _find_band,
-                         _zero_grid, dump_grid, load_grid)
+from twinpdc.jsa import (BLOCK_ROWS, DUMP_LAYOUT, PUMP_CUT, SPAN_TOL, JointAmplitude,
+                         _find_band, _zero_grid, dump_grid, load_grid)
 from twinpdc.units import bandwidth_nm_to_angular, thz_to_angular
 
 from conftest import chirped_jsa, separable_jsa
@@ -482,21 +483,23 @@ def test_filtered_band_equals_the_dense_scan(bundled_config, device, filter_base
 
 
 def test_loaded_band_equals_the_dense_scan(tmp_path, device, pump):
-    """load_grid seeds its band from the hull of the lines it wrote in each block: a
-    '0.0 0' line is written as +0 and stays out of the band, and a '-0 0' line holds -0,
-    which is not +0, so it joins the band; CRLF line ends and a missing final newline
-    change nothing."""
+    """load_grid seeds its band from each block's hull of the file's first:end: a +0 cell
+    at a row's band edge stays out of the band, and a row's band widened in the file to
+    a -0 cell in the last column, with +0 cells before it, reaches that column."""
     jsa = build_jsa(device, pump, FrequencyGrid(128, 160, 6.0, 6.0))
     n_i, first, end = jsa.grid.n_i, jsa.band.first, jsa.band.end
     edge, outside = 40, 100  # rows whose bands start past the first and end before the last column
     assert first[edge] > 0 and jsa.values[edge, first[edge] + 1] != 0 and end[outside] < n_i
-    path = tmp_path / "grid.txt"
+    path = tmp_path / "grid.npy"
     dump_grid(jsa, path)
-    lines = path.read_text().splitlines()
-    body = len(lines) - jsa.grid.n_s * n_i
-    lines[body + edge * n_i + first[edge]] = "0.0 0"
-    lines[body + outside * n_i + n_i - 1] = "-0 0"
-    path.write_bytes("\r\n".join(lines).encode())
+    arrays = dumped_arrays(path.read_bytes())
+    starts = np.concatenate(([0], np.cumsum(np.maximum(end - first, 0))))
+    arrays[5][starts[edge]] = 0.0
+    widened = np.zeros(n_i - end[outside], dtype=complex)
+    widened[-1] = complex(-0.0, 0.0)
+    arrays[5] = np.insert(arrays[5], starts[outside + 1], widened)
+    arrays[4][outside] = n_i
+    path.write_bytes(dump_bytes(arrays))
     back = load_grid(path)
     assert "band" in vars(back)
     assert same_band(back.band, _find_band(back.values))
@@ -696,80 +699,72 @@ def test_linewidth_arc_length_definition():
 
 # --- grid dump roundtrip -----------------------------------------------------
 
-def reference_dump(jsa, path, header_lines=()):
-    """Per-line writer that defines the text format; dump_grid must match its bytes."""
-    g = jsa.grid
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(f"# n_s={g.n_s} n_i={g.n_i} span_s={g.span_s!r} span_i={g.span_i!r}\n")
-        fh.write(f"# normalized={jsa.normalized}\n")
-        fh.write("# units: detuning rad/ps, amplitude (rad/ps)^-1; "
-                 "row-major over (signal, idler); one 're im' pair per line\n")
-        for val in jsa.values.ravel():
-            fh.write(f"{val.real:.17g} {val.imag:.17g}\n")
+def dumped_arrays(data):
+    """The six arrays of a grid dump's bytes, in file order."""
+    fh = io.BytesIO(data)
+    return [np.load(fh, allow_pickle=False) for _ in range(6)]
 
 
-def row_format_dump(jsa, path, header_lines=()):
-    """The whole-row writer that preceded the banded one: one %-format call per row."""
-    g = jsa.grid
-    rows = np.ascontiguousarray(jsa.values, dtype=complex).view(float)
-    rows = rows.reshape(g.n_s, 2 * g.n_i)
-    row_format = "%.17g %.17g\n" * g.n_i
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(f"# n_s={g.n_s} n_i={g.n_i} span_s={g.span_s!r} span_i={g.span_i!r}\n")
-        fh.write(f"# normalized={jsa.normalized}\n")
-        fh.write("# units: detuning rad/ps, amplitude (rad/ps)^-1; "
-                 "row-major over (signal, idler); one 're im' pair per line\n")
-        for row in rows:
-            fh.write(row_format % tuple(row.tolist()))
-
-
-def test_banded_dump_matches_row_writer_bytes(tmp_path):
-    """Rows of +0, -0 and subnormal parts, +0 inside a band and cells on both band
-    edges keep the bytes of the whole-row writer, and load back bit for bit."""
-    values = np.zeros((7, 9), dtype=complex)
-    values[0, 0] = complex(-0.0, 0.0)  # -0 alone holds a band of one cell
-    values[2, 3], values[2, 6] = complex(5e-324, -5e-324), complex(0.0, -0.0)
-    values[2, 5] = 0.25  # +0 at columns 4 inside the band 3:7
-    values[5, 8], values[6, 0], values[6, 8] = 1.5 - 2.0j, -1e-300, 3.0
-    jsa = JointAmplitude(grid=FrequencyGrid(7, 9, 1.0, 2.0), values=values)
-    assert jsa.band.first.tolist() == [0, 9, 3, 9, 9, 8, 0]
-    assert jsa.band.end.tolist() == [1, 0, 7, 0, 0, 9, 9]
-    dump_grid(jsa, tmp_path / "fast.txt", header_lines=["edges"])
-    row_format_dump(jsa, tmp_path / "rows.txt", header_lines=["edges"])
-    text = (tmp_path / "fast.txt").read_text()
-    assert text == (tmp_path / "rows.txt").read_text()
-    assert "\n-0 0\n" in text and "\n0 -0\n" in text
-    assert same_bits(load_grid(tmp_path / "fast.txt").values, values)
+def dump_bytes(arrays):
+    """The bytes of a grid dump of the given arrays; object arrays are pickled into it."""
+    fh = io.BytesIO()
+    for array in arrays:
+        np.save(fh, array, allow_pickle=True)
+    return fh.getvalue()
 
 
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def test_dump_and_load_roundtrip(tmp_path):
-    path, crlf = tmp_path / "grid.txt", tmp_path / "crlf.txt"
-    for jsa in (separable_jsa(n=32, span=3.0), chirped_jsa()):
-        dump_grid(jsa, path, header_lines=["roundtrip test"])
-        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        for copy in (path, crlf):
-            back = load_grid(copy)
-            assert back.grid == jsa.grid
-            assert back.normalized
-            assert same_bits(back.values, jsa.values)
+def assert_round_trips(jsa, path, header_lines=()):
+    """Two dumps have the same bytes, and the load has the grid, the flag and the bits of
+    the amplitude, with its band seeded and equal to the dense scan of the loaded values."""
+    dump_grid(jsa, path, header_lines)
+    written = path.read_bytes()
+    dump_grid(jsa, path, header_lines)
+    assert path.read_bytes() == written
+    back = load_grid(path)
+    assert back.grid == jsa.grid and back.normalized == jsa.normalized
+    assert same_bits(back.values, jsa.values)
+    assert "band" in vars(back)
+    assert same_band(back.band, _find_band(back.values))
+    return back
 
 
-def test_dump_matches_reference_writer_bytes(tmp_path, device, pump):
+def test_hand_made_band_round_trips_bit_for_bit(tmp_path):
+    """Rows of +0, -0 and subnormal parts, +0 inside a band and cells on both band edges:
+    the file holds the band's bounds and only its cells, and loads back bit for bit."""
+    values = np.zeros((7, 9), dtype=complex)
+    values[0, 0] = complex(-0.0, 0.0)  # -0 alone holds a band of one cell
+    values[2, 3], values[2, 6] = complex(5e-324, -5e-324), complex(0.0, -0.0)
+    values[2, 5] = 0.25  # +0 at column 4 inside the band 3:7
+    values[5, 8], values[6, 0], values[6, 8] = 1.5 - 2.0j, -1e-300, 3.0
+    jsa = JointAmplitude(grid=FrequencyGrid(7, 9, 1.0, 2.0), values=values)
+    assert jsa.band.first.tolist() == [0, 9, 3, 9, 9, 8, 0]
+    assert jsa.band.end.tolist() == [1, 0, 7, 0, 0, 9, 9]
+    path = tmp_path / "grid.npy"
+    back = assert_round_trips(jsa, path, header_lines=["edges"])
+    header, spans, sizes, first, end, cells = dumped_arrays(path.read_bytes())
+    assert header.tolist() == ["edges", DUMP_LAYOUT]
+    assert spans.tolist() == [1.0, 2.0] and sizes.tolist() == [7, 9, 0]
+    assert first.tolist() == jsa.band.first.tolist() and end.tolist() == jsa.band.end.tolist()
+    assert same_bits(cells, np.concatenate([values[0, :1], values[2, 3:7], values[5, 8:],
+                                            values[6]]))
+    assert same_band(back.band, jsa.band)
+
+
+def test_dump_and_load_roundtrip(tmp_path, bundled_config, device, pump, filter_base_jsa):
+    """A separable and a chirped amplitude, a sinc build, a build whose rows are cut at the
+    pump band on both sides, and an sg40 filter output."""
     sinc = build_jsa(device, pump, FrequencyGrid(48, 64, 2.0, 3.0))
     cut = build_jsa(device, pump, FrequencyGrid(128, 160, 6.0, 6.0))
     assert np.any(cut.band.first > 0) and np.any(cut.band.end < cut.grid.n_i)
-    for jsa in (separable_jsa(n=32, span=3.0), chirped_jsa(), sinc, cut):
-        dump_grid(jsa, tmp_path / "fast.txt", header_lines=["a", "b c"])
-        reference_dump(jsa, tmp_path / "ref.txt", header_lines=["a", "b c"])
-        assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+    sg40, _ = apply_filter(filter_base_jsa, cfgmod.filter_preset("sg40", device, bundled_config))
+    for jsa in (separable_jsa(n=32, span=3.0), chirped_jsa(), sinc, cut, sg40):
+        back = assert_round_trips(jsa, tmp_path / "grid.npy", header_lines=["a", "b c"])
+        assert back.normalized
+        assert same_band(back.band, jsa.band)
 
 
 EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308]
@@ -788,63 +783,91 @@ def test_dump_load_bit_exact_property(tmp_path_factory, n_s, n_i, data):
     spans = st.floats(min_value=1e-6, max_value=1e6)
     grid = FrequencyGrid(n_s, n_i, data.draw(spans), data.draw(spans))
     jsa = JointAmplitude(grid=grid, values=pairs.view(complex))
-    tmp = tmp_path_factory.mktemp("grid")
-    dump_grid(jsa, tmp / "fast.txt")
-    reference_dump(jsa, tmp / "ref.txt")
-    assert (tmp / "fast.txt").read_bytes() == (tmp / "ref.txt").read_bytes()
-    back = load_grid(tmp / "fast.txt")
-    assert back.grid == grid
+    back = assert_round_trips(jsa, tmp_path_factory.mktemp("grid") / "grid.npy")
     assert not back.normalized
-    assert same_bits(back.values, jsa.values)
 
 
-def _set_line(k, text):
-    def edit(body):
-        body[k] = text
-        return body
+def _edit(k, change):
+    """An edit of a dump's bytes that replaces its array k by change(array k)."""
+    def edit(data):
+        arrays = dumped_arrays(data)
+        arrays[k] = change(arrays[k])
+        return dump_bytes(arrays)
     return edit
 
 
-@pytest.mark.parametrize("edit, bad_line", [
-    (lambda body: body[:-1], None),
-    (lambda body: body + ["0 0\n"], 6),
-    (_set_line(1, "0.5\n"), 1),
-    (_set_line(2, "0.5 0.25 0\n"), 2),
-    (_set_line(3, "0.5 abc\n"), 3),
-    (_set_line(4, "\n"), 4),
-    (_set_line(4, "# 0.5 0.25\n"), 4),
-    (lambda body: ["5 0\n"] * len(body), None),
-], ids=["truncated", "extra-value", "one-column", "three-column", "non-numeric", "blank",
-        "comment", "mis-normalized"])
-def test_load_grid_rejects_malformed_body(tmp_path, edit, bad_line):
-    """bad_line is the body line (from 0) that the error must name by its file line number."""
-    path = tmp_path / "grid.txt"
-    dump_grid(chirped_jsa(2, 3), path)
-    lines = path.read_text().splitlines(keepends=True)
-    header = [line for line in lines if line.startswith("#")]
-    body = [line for line in lines if not line.startswith("#")]
-    path.write_text("".join(header + edit(body)))
+def _set(k, at, value):
+    def change(array):
+        array[at] = value
+        return array
+    return _edit(k, change)
+
+
+def _band(row, lo, hi):
+    """An edit of a dump's bytes that sets one row's band to lo:hi and keeps its cells."""
+    def edit(data):
+        arrays = dumped_arrays(data)
+        arrays[3][row], arrays[4][row] = lo, hi
+        return dump_bytes(arrays)
+    return edit
+
+
+def _huge_cells(data):
+    """A dump whose last array header claims 2^50 cells: too many to allocate."""
+    arrays = dumped_arrays(data)
+    fh = io.BytesIO()
+    fh.write(dump_bytes(arrays[:5]))
+    np.lib.format.write_array_header_1_0(
+        fh, {"descr": "<c16", "fortran_order": False, "shape": (2**50,)})
+    return fh.getvalue() + arrays[5].tobytes()
+
+
+TEXT_DUMP = (b"# n_s=2 n_i=3 span_s=3.0 span_i=2.5\n# normalized=True\n"
+             b"# units: detuning rad/ps, amplitude (rad/ps)^-1; row-major over (signal, idler); "
+             b"one 're im' pair per line\n" + b"0.5 0.25\n" * 6)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data[:-5],
+    lambda data: b"",
+    lambda data: TEXT_DUMP,
+    lambda data: data + b"\0",
+    _band(1, 2, 1),
+    _band(1, 0, 4),
+    _edit(5, lambda cells: np.append(cells, 0.5)),
+    _edit(5, lambda cells: cells[:-1]),
+    _edit(5, lambda cells: cells.astype(object)),
+    _edit(5, lambda cells: cells.astype(str)),
+    _edit(5, lambda cells: cells.real.copy()),
+    _huge_cells,
+    _edit(5, lambda cells: 5.0 * cells),
+], ids=["truncated", "blank", "text-dump", "trailing-byte", "first-past-end", "end-past-n_i",
+        "extra-value", "missing-value", "object-array", "non-numeric", "real-cells",
+        "huge-shape", "mis-normalized"])
+def test_load_grid_rejects_malformed_body(tmp_path, edit):
+    """Each malformed file exits through ConfigError, which names it.  Row 1 of the
+    chirped 2 x 3 amplitude has the band 0:3: first-past-end makes it 2:1 and keeps its
+    three cells in the file, end-past-n_i makes it 0:4 with one cell too few."""
+    path = tmp_path / "grid.npy"
+    jsa = chirped_jsa(2, 3)
+    assert jsa.band.first.tolist() == [0, 0] and jsa.band.end.tolist() == [3, 3]
+    dump_grid(jsa, path)
+    path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(ConfigError) as exc:
         load_grid(path)
     assert str(path) in str(exc.value)
-    if bad_line is not None:
-        assert f"line {len(header) + bad_line + 1}:" in str(exc.value)
 
 
-def test_load_grid_accepts_a_missing_final_newline(tmp_path):
-    path = tmp_path / "grid.txt"
-    jsa = chirped_jsa(2, 3)
-    dump_grid(jsa, path)
-    path.write_bytes(path.read_bytes().rstrip(b"\n"))
-    assert same_bits(load_grid(path).values, jsa.values)
-
-
-@pytest.mark.parametrize("old, new", [("n_s=2", "n_s=two"), ("n_i=3 ", "")],
-                         ids=["non-integer", "missing-field"])
-def test_load_grid_rejects_malformed_header(tmp_path, old, new):
-    path = tmp_path / "grid.txt"
+@pytest.mark.parametrize("edit", [
+    _edit(2, lambda sizes: sizes.astype(float)),
+    _edit(2, lambda sizes: sizes[:2]),
+    _set(1, 0, math.nan),
+    _set(2, 2, 2),
+], ids=["non-integer", "missing-field", "nan-span", "flag-2"])
+def test_load_grid_rejects_malformed_header(tmp_path, edit):
+    path = tmp_path / "grid.npy"
     dump_grid(chirped_jsa(2, 3), path)
-    path.write_text(path.read_text().replace(old, new, 1))
+    path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(ConfigError) as exc:
         load_grid(path)
     assert str(path) in str(exc.value)

@@ -54,6 +54,20 @@ def dense_coefficients(jsa):
     return np.linalg.svd(jsa.values, compute_uv=False) * math.sqrt(jsa.cell_area)
 
 
+def gram_defects(sd):
+    """Max |G - I| entries of the signal and idler mode Gram matrices."""
+    out = []
+    for modes, step in ((sd.signal_modes, sd.step_signal), (sd.idler_modes, sd.step_idler)):
+        gram = modes.conj().T @ modes * step
+        out.append(float(np.max(np.abs(gram - np.eye(gram.shape[0])))))
+    return tuple(out)
+
+
+def reconstruct(sd):
+    """Amplitude values rebuilt from the kept modes."""
+    return (sd.signal_modes * sd.coefficients[None, :]) @ sd.idler_modes.T
+
+
 def oracle_keep(lam, cutoff):
     """Modes the oracle keeps: the first prefix whose weight reaches the total less cutoff."""
     weights = lam**2
@@ -111,7 +125,7 @@ def test_weights_sum_and_orthonormal_modes():
     sd = decompose(two_mode_jsa())
     assert np.sum(sd.coefficients**2) + sd.truncation_residual == pytest.approx(
         1.0, abs=1e-6)
-    ds, di = sd.gram_defects()
+    ds, di = gram_defects(sd)
     assert ds < 1e-6 and di < 1e-6
 
 
@@ -119,8 +133,17 @@ def test_reconstruction_error_bounded_by_cutoff():
     jsa = two_mode_jsa()
     for cutoff in (1e-6, 0.21):
         sd = decompose(jsa, rank_cutoff=cutoff)
-        err = np.sum(np.abs(jsa.values - sd.reconstruct()) ** 2) * jsa.cell_area
+        err = np.sum(np.abs(jsa.values - reconstruct(sd)) ** 2) * jsa.cell_area
         assert err <= cutoff + 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [math.nan, -1.0, -math.inf, -1e-300])
+def test_decompose_rejects_a_nan_or_negative_cutoff(cutoff):
+    """On a chirped 64^2 amplitude a NaN cutoff kept one mode and left out 0.12 of the
+    weight, and -1 forced the full-width sketch; both are rejected before any product."""
+    jsa = chirped_jsa(64, 64)
+    with pytest.raises(ContractError, match="rank_cutoff"):
+        decompose(jsa, rank_cutoff=cutoff)
 
 
 def test_decompose_rejects_unnormalized():
@@ -132,7 +155,7 @@ def test_decompose_rejects_unnormalized():
 
 def test_bundled_device_highly_multimodal(unfiltered_schmidt):
     """Its modes are orthonormal; the band on K is a CRITERIA row (test_acceptance)."""
-    ds, di = unfiltered_schmidt.gram_defects()
+    ds, di = gram_defects(unfiltered_schmidt)
     assert ds < 1e-6 and di < 1e-6
 
 
@@ -178,7 +201,7 @@ def test_reported_residual_is_reconstruction_error(sketch_widths):
     jsa = decaying_jsa(norm_squared=1.0 + 8e-7)
     sd = decompose(jsa)
     assert sketch_widths[-1] < min(jsa.values.shape)  # a partial sketch
-    err = np.sum(np.abs(jsa.values - sd.reconstruct()) ** 2) * jsa.cell_area
+    err = np.sum(np.abs(jsa.values - reconstruct(sd)) ** 2) * jsa.cell_area
     assert 0.0 < sd.truncation_residual <= schmidt.DEFAULT_RANK_CUTOFF
     assert sd.truncation_residual == pytest.approx(err, abs=1e-15)
 
@@ -208,7 +231,7 @@ def test_flat_spectrum_widens_to_exact_full_sketch(shape, sketch_widths):
     lam = dense_coefficients(jsa)
     assert len(sd.coefficients) == min(shape)
     assert sd.coefficients == pytest.approx(lam, rel=1e-12, abs=0.0)
-    err = np.sum(np.abs(values - sd.reconstruct()) ** 2) * jsa.cell_area
+    err = np.sum(np.abs(values - reconstruct(sd)) ** 2) * jsa.cell_area
     assert err <= 1e-14 and sd.truncation_residual <= 1e-14
 
 
@@ -437,7 +460,7 @@ def test_overlap_truncation_bound(unfiltered_jsa, fine_schmidt):
         sd = fine_schmidt.truncated(cutoff)
         rho = sd.truncation_residual
         assert rho <= cutoff
-        g = sd.reconstruct()
+        g = reconstruct(sd)
         h = f - g
         assert np.vdot(h, h).real * cell == pytest.approx(rho, abs=1e-15)
         assert abs(np.vdot(g, h) * cell) < 1e-12
