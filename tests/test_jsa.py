@@ -767,6 +767,37 @@ def test_dump_and_load_roundtrip(tmp_path, bundled_config, device, pump, filter_
         assert same_band(back.band, jsa.band)
 
 
+def reference_dump(jsa, path, header_lines=()):
+    """dump_grid's file written from a dense per-row scan of the values: a row's band runs
+    from its first to past its last cell that is not +0 in either part, and is n_i:0 for a
+    row of +0."""
+    g, values = jsa.grid, jsa.values
+    first, end, cells = [], [], []
+    for row in values:
+        kept = np.flatnonzero(np.any(row.view(np.uint64).reshape(-1, 2) != 0, axis=1))
+        lo, hi = (int(kept[0]), int(kept[-1]) + 1) if kept.size else (g.n_i, 0)
+        first.append(lo)
+        end.append(hi)
+        cells.extend(row[lo:hi].tolist())
+    arrays = [np.array([*header_lines, DUMP_LAYOUT]), np.array([g.span_s, g.span_i]),
+              np.array([g.n_s, g.n_i, int(jsa.normalized)], dtype=np.int64),
+              np.array(first, dtype=np.int64), np.array(end, dtype=np.int64),
+              np.array(cells, dtype=complex)]
+    with open(path, "wb") as fh:
+        for array in arrays:
+            np.save(fh, array, allow_pickle=False)
+
+
+def test_dump_matches_reference_writer_bytes(tmp_path, device, pump):
+    sinc = build_jsa(device, pump, FrequencyGrid(48, 64, 2.0, 3.0))
+    cut = build_jsa(device, pump, FrequencyGrid(128, 160, 6.0, 6.0))
+    assert np.any(cut.band.first > 0) and np.any(cut.band.end < cut.grid.n_i)
+    for jsa in (separable_jsa(n=32, span=3.0), chirped_jsa(), sinc, cut):
+        dump_grid(jsa, tmp_path / "fast.npy", header_lines=["a", "b c"])
+        reference_dump(jsa, tmp_path / "ref.npy", header_lines=["a", "b c"])
+        assert (tmp_path / "fast.npy").read_bytes() == (tmp_path / "ref.npy").read_bytes()
+
+
 EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308]
 FINITE_DOUBLES = st.one_of(st.sampled_from(EDGE_DOUBLES),
                            st.floats(allow_nan=False, allow_infinity=False))
