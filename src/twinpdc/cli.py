@@ -59,14 +59,17 @@ def build_parser():
         p.add_argument("--out", default=".", help="output directory")
 
     # a dest "section.key" names the config value the flag sets (see _load)
-    def add_spectral(p):
-        add_common(p)
-        p.add_argument("--filter", default="none",
-                       choices=[*cfgmod.FILTER_PRESETS, "custom"])
+    def add_grid(p):
         p.add_argument("--approx", dest="grid.approximation", default=None,
                        choices=["sinc", "gaussian"])
         p.add_argument("--grid", default=None, metavar="N,SPAN_THZ",
                        help="grid points and span, e.g. 1024,8.0")
+
+    def add_spectral(p):
+        add_common(p)
+        p.add_argument("--filter", default="none",
+                       choices=[*cfgmod.FILTER_PRESETS, "custom"])
+        add_grid(p)
 
     p = sub.add_parser("jsa", help="build the joint amplitude, export marginals")
     add_spectral(p)
@@ -103,6 +106,7 @@ def build_parser():
 
     p = sub.add_parser("report", help="run all verification checks")
     add_common(p)
+    add_grid(p)
     p.add_argument("--skip-montecarlo", action="store_true")
     return parser
 

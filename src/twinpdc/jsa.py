@@ -585,19 +585,27 @@ def dump_grid(jsa: JointAmplitude, path, header_lines=()):
     after row (complex128).  Every other cell is +0, so the file holds the
     grid bit for bit: the bundled 2048^2 amplitude takes 3.75 MB, where every
     cell would take 64 MiB.  The arrays go through one open handle, since
-    np.save given a path appends '.npy' to it.
+    np.save given a path appends '.npy' to it.  The cells array's header is
+    written once and then the cells of each block of BLOCK_ROWS rows, so the
+    band is never gathered into one array.
     """
     g, band = jsa.grid, jsa.band
-    # a row of +0 has first = n_i > end = 0, so its slice is empty
-    cells = [row[lo:hi] for row, lo, hi in zip(jsa.values, band.first.tolist(), band.end.tolist())]
+    first, end = band.first.astype(np.int64), band.end.astype(np.int64)
     arrays = (np.array([*header_lines, DUMP_LAYOUT], dtype=str),
               np.array([g.span_s, g.span_i], dtype=float),
-              np.array([g.n_s, g.n_i, int(jsa.normalized)], dtype=np.int64),
-              band.first.astype(np.int64), band.end.astype(np.int64),
-              np.concatenate(cells, dtype=complex))
+              np.array([g.n_s, g.n_i, int(jsa.normalized)], dtype=np.int64), first, end)
+    # a row of +0 has first = n_i > end = 0, so it holds no cell
+    count = int(np.sum(np.maximum(end - first, 0)))
+    cells = {"descr": np.lib.format.dtype_to_descr(np.dtype(complex)),
+             "fortran_order": False, "shape": (count,)}
     with open(path, "wb") as fh:
         for array in arrays:
             np.save(fh, array, allow_pickle=False)
+        np.lib.format.write_array_header_1_0(fh, cells)
+        lo, hi = first.tolist(), end.tolist()
+        for block in _blocks(g.n_s):
+            fh.write(np.concatenate([jsa.values[r, lo[r]:hi[r]]
+                                     for r in range(block.start, block.stop)], dtype=complex))
 
 
 def load_grid(path) -> JointAmplitude:

@@ -28,8 +28,9 @@ every pass over a grid, blocks of jsa.BLOCK_ROWS rows: the products of
 decompose and density_overlap multiply only the column span of each block,
 and the lag sums read only the stretch of each diagonal that crosses the
 band's blocks.  Every cell outside the band is +0, so each result is that of the
-dense grid.  decompose needs numpy alone: its products, QRs and SVD all run
-in numpy's one BLAS thread pool.
+dense grid.  decompose needs numpy alone: its products, its one QR per power
+step and its one SVD per pass all run in numpy's one BLAS thread pool, and
+each step frees the n_s x l arrays it is done with.
 """
 import math
 from dataclasses import dataclass, replace
@@ -112,19 +113,34 @@ def _tdot(f: JointAmplitude, y):
 
 
 def _sketch_basis(f, width):
-    """An orthonormal basis of f Omega, Omega an n_i x width complex Gaussian from SKETCH_KEY."""
+    """The raw sketch f Omega, Omega an n_i x width complex Gaussian from SKETCH_KEY.
+
+    No QR: the first power step acts on f Omega as it is (see decompose).
+    Omega is freed as soon as its product is formed.
+    """
     rng = np.random.Generator(np.random.Philox(key=SKETCH_KEY))
-    omega = rng.standard_normal((f.values.shape[1], 2 * width)).view(complex)
-    return np.linalg.qr(_dot(f, omega))[0]
+    return _dot(f, rng.standard_normal((f.values.shape[1], 2 * width)).view(complex))
 
 
 def _power_iterate(f, q, iterations):
-    """Subspace iteration q <- f f^dag q, orthonormalized by one Householder QR per step.
+    """An orthonormal basis of f (f^dag f)^iterations q, by subspace iteration.
 
-    f^dag q = conj(f^T conj(q)), so each step is two banded products and one QR.
+    Each step maps q to f (f^dag q) = f conj(f^T conj(q)), two banded products,
+    and orthonormalizes it by one Householder QR; q itself, the raw sketch or an
+    earlier basis, gets a QR only when no step runs.  A step drops the old q
+    and the iterate z = f^T conj(q) as soon as they are used, and conjugates z
+    in place: pass the raw sketch without keeping it, and its first QR holds
+    only its input, numpy's working copy and the result.
     """
+    if iterations == 0:
+        return np.linalg.qr(q)[0]
     for _ in range(iterations):
-        q = np.linalg.qr(_dot(f, _tdot(f, q.conj()).conj()))[0]
+        z = _tdot(f, q.conj())
+        q = None
+        y = _dot(f, np.conjugate(z, out=z))
+        z = None
+        q = np.linalg.qr(y)[0]
+        y = None
     return q
 
 
@@ -135,10 +151,13 @@ def _projected_schmidt(f, q, ds, di, norm_squared):
     """
     u, s, vh = np.linalg.svd(_tdot(f, q.conj()), full_matrices=False)
     lam = s * math.sqrt(ds * di)
+    signal_modes = q @ vh.T
+    signal_modes /= math.sqrt(ds)
+    u /= math.sqrt(di)
     return SchmidtData(
         coefficients=lam,
-        signal_modes=q @ vh.T / math.sqrt(ds),
-        idler_modes=u / math.sqrt(di),
+        signal_modes=signal_modes,
+        idler_modes=u,
         step_signal=ds,
         step_idler=di,
         truncation_residual=max(norm_squared - float(np.sum(lam**2)), 0.0),
@@ -165,13 +184,20 @@ def decompose(jsa: JointAmplitude, rank_cutoff=DEFAULT_RANK_CUTOFF) -> SchmidtDa
 
     A Gaussian sketch of width l (Halko, Martinsson & Tropp, SIAM Rev. 53, 217
     (2011), Alg. 4.4) and q power iterations give a basis of f (f^dag f)^q
-    Omega.  The sketch f Omega and each product f (f^dag q) get one Householder
-    QR, so the last QR is already the orthonormal Q, n_s x l: the bundled grid
-    takes three QRs.  The iterate f^dag q between them is not normalized, so
-    the singular values of f (f^dag q) spread over (lam_1 / lam_l)^2; the kept
-    lam_j still come out within the eps lam_1 rounding of a dense SVD.  Every
-    product and factorization is numpy's, in its one BLAS thread pool.  The
-    SVD of the small Q^dag f gives lam_j and the modes.  The kept part of
+    Omega.  The raw sketch f Omega enters the first power step as it is, and
+    each product f (f^dag q) gets one Householder QR, so the last QR is already
+    the orthonormal Q, n_s x l: the bundled grid takes two QRs.  In exact
+    arithmetic the subspace is the same wherever the QRs go.  In rounding, the
+    iterates between them are not normalized: the singular values of the first
+    QR's input f f^dag f Omega spread over (lam_1 / lam_l)^3, those of each
+    later one over (lam_1 / lam_l)^2.  Householder QR still resolves every
+    direction with lam / lam_1 above eps^(1/3), about 6e-6, where the bundled
+    pass keeps modes down to lam_360 / lam_1 = 1.7e-3, and the kept lam_j come
+    out within the eps lam_1 rounding of a dense SVD.  A pass with no power
+    step, the full-width one, keeps a QR of its sketch: the certificate below
+    needs an orthonormal Q.  Every product and factorization is numpy's, in
+    its one BLAS thread pool.  The SVD of the small Q^dag f gives lam_j and
+    the modes.  The kept part of
     Q Q^dag F, F = f sqrt(dnu_s dnu_i), is an orthogonal projection of F, so
     for any Q the weight it leaves out is exactly ||F||^2 - sum_{j<=k}
     lam_j^2 (ibid. Sec. 4.3), with ||F||^2 the
@@ -222,6 +248,7 @@ def decompose(jsa: JointAmplitude, rank_cutoff=DEFAULT_RANK_CUTOFF) -> SchmidtDa
     width = max(full // 4, 1)
     while True:
         iterations = 0 if width == full else POWER_ITERATIONS
+        q = sketch = kept = None  # a narrower pass's arrays, stale once the width grows
         q = _power_iterate(jsa, _sketch_basis(jsa, width), iterations)
         while True:
             sketch = _projected_schmidt(jsa, q, ds, di, norm_squared)
@@ -234,6 +261,7 @@ def decompose(jsa: JointAmplitude, rank_cutoff=DEFAULT_RANK_CUTOFF) -> SchmidtDa
                 break
             if needed <= iterations:
                 return kept
+            sketch = kept = None
             q = _power_iterate(jsa, q, needed - iterations)
             iterations = needed
         width = min(2 * width, full)

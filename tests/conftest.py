@@ -1,4 +1,6 @@
 """Shared fixtures: the bundled device and cached heavy artifacts."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,3 +86,15 @@ def chirped_jsa(n_s=24, n_i=40, span_s=3.0, span_i=2.5):
     values = np.exp(-(nu_s + nu_i) ** 2 - 0.3 * (nu_s - nu_i) ** 2 + 1j * nu_s * nu_i)
     values /= np.sqrt(np.sum(np.abs(values) ** 2) * grid.step_signal * grid.step_idler)
     return JointAmplitude(grid=grid, values=values, normalized=True)
+
+
+def traced_peak(func, *args):
+    """(result, peak bytes that tracemalloc saw allocated while func ran)."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = func(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -530,6 +530,30 @@ def test_cli_report_skip_montecarlo_drops_tagged_rows(two_row_table, capsys):
     assert lines == ["[PASS] always one: 1 (allowed 0 .. 2)", "1/1 checks passed"]
 
 
+def test_cli_report_takes_the_bundled_grid_flag(capsys):
+    """--grid set to the bundled grid prints what the bundled config prints, byte for byte."""
+    assert main(["report", "--skip-montecarlo"]) == 0
+    bundled = capsys.readouterr().out
+    assert main(["report", "--skip-montecarlo", "--grid", "2048,12.0"]) == 0
+    assert capsys.readouterr().out == bundled
+
+
+@pytest.mark.parametrize("flag", ["2048,x", "2048", "2048,12.0,1"])
+def test_cli_report_bad_grid_flag_exit_code(capsys, flag):
+    assert main(["report", "--grid", flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: bad --grid {flag!r}\n" and captured.out == ""
+
+
+def test_cli_report_sinc_on_the_bundled_span_exit_code(capsys):
+    """The sinc amplitude's border columns hold 2.8e-5 of the norm on the bundled span:
+    the report stops at its first grid row with exit 3, as overlap --approx sinc does."""
+    assert main(["report", "--skip-montecarlo", "--approx", "sinc"]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: the grid's border rows hold")
+    assert "Traceback" not in err
+
+
 def test_cli_report_without_sim_section_uses_default_seed(monkeypatch, tmp_path, capsys):
     """A config holding only [device], [pump] and [grid] runs the report on the [sim] defaults."""
     from twinpdc import report

@@ -5,7 +5,6 @@ import mmap
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from twinpdc.jsa import (BLOCK_ROWS, DUMP_LAYOUT, PUMP_CUT, SPAN_TOL, JointAmpli
                          _find_band, _zero_grid, dump_grid, load_grid)
 from twinpdc.units import bandwidth_nm_to_angular, thz_to_angular
 
-from conftest import chirped_jsa, separable_jsa
+from conftest import chirped_jsa, separable_jsa, traced_peak
 
 
 def symmetric_spec(length=500.0, kappa=-2.0e-3):
@@ -261,18 +260,6 @@ def test_filter_zeros_are_stored_as_positive_zero():
     out, _ = apply_filter(jsa, FilterSpec(shape="rectangular", bandwidth=2.0))
     assert np.any(out.values == 0)
     assert stray_tiny_parts(out.values) == 0
-
-
-def traced_peak(func, *args):
-    """(result, peak bytes that tracemalloc saw allocated while func ran)."""
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        result = func(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
 
 
 def test_build_peak_memory_near_the_result(bundled_config, device, pump):

@@ -14,7 +14,7 @@ from twinpdc.errors import ConfigError, ContractError, GridShapeError, RangeErro
 from twinpdc.jsa import BLOCK_ROWS
 from twinpdc.report import delay_search_range
 
-from conftest import chirped_jsa, gaussian_mode, separable_jsa
+from conftest import chirped_jsa, gaussian_mode, separable_jsa, traced_peak
 
 
 def two_mode_jsa(weights=(math.sqrt(0.8), math.sqrt(0.2)), n=256, span=6.0):
@@ -96,6 +96,23 @@ def sketch_widths(monkeypatch):
         return draw(f, width)
     monkeypatch.setattr(schmidt, "_sketch_basis", spy)
     return widths
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """(name, columns of the input) of every np.linalg.qr and np.linalg.svd call, in order."""
+    calls = []
+
+    def spying(name):
+        factorize = getattr(np.linalg, name)
+
+        def spy(a, *args, **kwargs):
+            calls.append((name, a.shape[1]))
+            return factorize(a, *args, **kwargs)
+        return spy
+    for name in ("qr", "svd"):
+        monkeypatch.setattr(np.linalg, name, spying(name))
+    return calls
 
 
 def delayed_overlap_reference(jsa, tau):
@@ -185,15 +202,36 @@ def test_sketch_matches_dense_oracle_on_bundled_grid(
 
 
 @pytest.mark.parametrize("cutoff", [1e-6, 1e-8, 1e-10, 1e-12, 1e-15])
-@pytest.mark.parametrize("ratio", [0.8, 0.9])
+@pytest.mark.parametrize("ratio", [0.3, 0.5, 0.8, 0.9])
 def test_kept_coefficients_carry_dense_svd_rounding(ratio, cutoff):
-    """One QR per f f^dag step loses none of the small kept modes: each kept lam_k lies
-    within 64 eps lam_1 of the dense SVD, the accuracy a dense SVD itself has."""
+    """One QR per f f^dag step, none on the raw sketch, loses none of the small kept
+    modes: each kept lam_k lies within 64 eps lam_1 of the dense SVD, the accuracy a
+    dense SVD itself has.  At ratios 0.3 and 0.5 the sketch's last lam_l falls below
+    eps^(1/3) lam_1, where the first QR's input spreads over (lam_1 / lam_l)^3."""
     jsa = decaying_jsa(ratio=ratio)
     sd = decompose(jsa, rank_cutoff=cutoff)
     lam = dense_coefficients(jsa)
     err = np.abs(sd.coefficients - lam[:len(sd.coefficients)])
     assert np.max(err) <= 64 * np.finfo(float).eps * lam[0]
+
+
+def test_a_two_step_pass_takes_two_qrs_and_one_svd(linalg_calls):
+    """The raw sketch f Omega goes into the first power step without a QR of its own."""
+    jsa = decaying_jsa()
+    linalg_calls.clear()  # the amplitude's own construction
+    decompose(jsa)
+    assert linalg_calls == [("qr", 100), ("qr", 100), ("svd", 100)]
+
+
+def test_decompose_peak_memory_on_the_bundled_grid(unfiltered_jsa):
+    """No n_s x l array outlives its use: the traced peak stays under 3.5 of them.
+
+    A QR holds its input, numpy's working copy of it and the result; the SVD adds
+    the l x l factor, a quarter of an array at l = n_s / 4.
+    """
+    (n_s, _), width = unfiltered_jsa.values.shape, min(unfiltered_jsa.values.shape) // 4
+    _, peak = traced_peak(decompose, unfiltered_jsa)
+    assert peak <= 3.5 * n_s * width * 16
 
 
 def test_reported_residual_is_reconstruction_error(sketch_widths):
@@ -218,9 +256,10 @@ def test_decompose_is_bit_reproducible(sketch_widths):
 
 
 @pytest.mark.parametrize("shape", [(700, 600), (600, 700)])
-def test_flat_spectrum_widens_to_exact_full_sketch(shape, sketch_widths):
+def test_flat_spectrum_widens_to_exact_full_sketch(shape, sketch_widths, linalg_calls):
     """A random amplitude has no spectral gap: at a tiny cutoff every mode is kept, which
-    only the full-width sketch can certify."""
+    only the full-width sketch can certify.  That pass runs no power step, so its
+    sketch keeps a QR: the certificate needs an orthonormal Q."""
     rng = np.random.default_rng(20140523)
     grid = FrequencyGrid(shape[0], shape[1], 4.0, 4.0)
     values = rng.standard_normal((shape[0], 2 * shape[1])).view(complex)
@@ -228,6 +267,8 @@ def test_flat_spectrum_widens_to_exact_full_sketch(shape, sketch_widths):
     jsa = JointAmplitude(grid=grid, values=values, normalized=True)
     sd = decompose(jsa, rank_cutoff=1e-14)
     assert sketch_widths == [150, 300, 600]  # a quarter of the short axis, doubled
+    assert linalg_calls == [("qr", 150), ("qr", 150), ("svd", 150),
+                            ("qr", 300), ("qr", 300), ("svd", 300), ("qr", 600), ("svd", 600)]
     lam = dense_coefficients(jsa)
     assert len(sd.coefficients) == min(shape)
     assert sd.coefficients == pytest.approx(lam, rel=1e-12, abs=0.0)
