@@ -19,7 +19,7 @@ from . import config as cfgmod
 from .dispersion import pm_tilt_deviation
 from .errors import ConfigError, FitConvergenceError, TwinPdcError
 from .fit import fit_overlap
-from .jsa import apply_filter, build_jsa, dump_grid
+from .jsa import dump_grid
 from .montecarlo import efficiency_sweep, simulate, zero_power_efficiencies
 from .report import delay_search_range, jsi_geometry, run_report
 from .schmidt import (decompose, delay_compensated_overlap, spectral_overlap)
@@ -122,10 +122,9 @@ def _load(args):
     if getattr(args, "grid", None):
         try:
             n, span = args.grid.split(",")
-            n, span = str(int(n)), repr(float(span))
+            cfg = cfgmod.with_grid(cfg, n, span)
         except ValueError as exc:
             raise ConfigError(f"bad --grid {args.grid!r}") from exc
-        cfg.setdefault("grid", {}).update(points=n, span_thz=span)
     if getattr(args, "filter", None):
         cfg = cfgmod.with_filter_preset(cfg, args.filter)
     return cfg, cfgmod.device_from_config(cfg)
@@ -141,24 +140,9 @@ def _provenance(title, cfg):
     return [f"twinpdc {title}", *cfgmod.effective_config_lines(cfg)]
 
 
-def _built_jsa(cfg, device):
-    """The amplitude of the effective config, filtered by its [filter] section if any.
-
-    The build's span is checked before any filter: it is the denominator of
-    the transmitted fraction.
-    """
-    jsa_obj = build_jsa(device, cfgmod.pump_from_config(cfg), cfgmod.grid_from_config(cfg),
-                        cfgmod.approximation_from_config(cfg))
-    jsa_obj.check_span()
-    filt = cfgmod.filter_from_config(cfg, device)
-    if filt is None:
-        return jsa_obj, None
-    return apply_filter(jsa_obj, filt)
-
-
 def cmd_jsa(args):
     cfg, device = _load(args)
-    jsa_obj, transmitted = _built_jsa(cfg, device)
+    jsa_obj, transmitted = cfgmod.amplitude_from_config(cfg)
     tilt = pm_tilt_deviation(device)
     # a span too narrow for the marginals fails here, before any file is written
     geo = jsi_geometry(device, jsa_obj)
@@ -185,7 +169,7 @@ def cmd_jsa(args):
 
 def cmd_overlap(args):
     cfg, device = _load(args)
-    jsa_obj, transmitted = _built_jsa(cfg, device)
+    jsa_obj, transmitted = cfgmod.amplitude_from_config(cfg)
     value = spectral_overlap(jsa_obj)
     print(f"spectral overlap |O| = {abs(value):.4f} (O = {value:+.4f})")
     if transmitted is not None:
@@ -197,8 +181,8 @@ def cmd_overlap(args):
 
 
 def cmd_schmidt(args):
-    cfg, device = _load(args)
-    jsa_obj, _ = _built_jsa(cfg, device)
+    cfg, _ = _load(args)
+    jsa_obj, _ = cfgmod.amplitude_from_config(cfg)
     sd = decompose(jsa_obj)
     path = _out_path(args, "schmidt_spectrum.csv")
     write_table(path, ["k", "coefficient"],

@@ -12,7 +12,7 @@ from importlib import resources
 
 from .dispersion import DeviceSpec, device_spec
 from .errors import ConfigError, ContractError
-from .jsa import FilterSpec, FrequencyGrid, PumpSpec
+from .jsa import FilterSpec, FrequencyGrid, PumpSpec, apply_filter, build_jsa
 from .montecarlo import SimConfig, equal_mode_spectrum
 from .twinstats import DetectionSpec
 from .units import bandwidth_nm_to_angular, thz_to_angular
@@ -106,6 +106,13 @@ def approximation_from_config(cfg) -> str:
     return _get(cfg, "grid", "approximation", str, default="gaussian")
 
 
+def with_grid(cfg, points, span_thz=None) -> dict:
+    """cfg with [grid] points, and span_thz if given, written as --grid writes them:
+    str(int(points)) and repr(float(span_thz)).  cfg itself is not changed."""
+    span = {} if span_thz is None else {"span_thz": repr(float(span_thz))}
+    return {**cfg, "grid": {**cfg.get("grid", {}), "points": str(int(points)), **span}}
+
+
 def with_filter_preset(cfg, name) -> dict:
     """cfg with its [filter] section set by a preset: none | g12 | sg40 | custom.
 
@@ -141,6 +148,17 @@ def filter_from_config(cfg, device: DeviceSpec) -> FilterSpec | None:
                    default=DEFAULT_SUPERGAUSS_ORDER),
         applies_to=_get(cfg, "filter", "applies_to", str, default="both"),
     )
+
+
+def amplitude_from_config(cfg):
+    """(the amplitude on [grid], filtered by [filter] if any; the transmitted fraction or
+    None).  The span is checked before any filter: it is the fraction's denominator."""
+    device = device_from_config(cfg)
+    jsa_obj = build_jsa(device, pump_from_config(cfg), grid_from_config(cfg),
+                        approximation_from_config(cfg))
+    jsa_obj.check_span()
+    filt = filter_from_config(cfg, device)
+    return (jsa_obj, None) if filt is None else apply_filter(jsa_obj, filt)
 
 
 def detection_from_config(cfg) -> DetectionSpec:

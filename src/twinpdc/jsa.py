@@ -301,8 +301,8 @@ class JointAmplitude:
         is above SPAN_TOL, since the grid then cuts the amplitude off.
 
         build_jsa does not call it, so a grid narrower than the amplitude still
-        builds (the benchmark's reduced pass uses one); the commands run it on
-        the build their numbers are computed from.
+        builds (the benchmark's reduced pass uses one);
+        config.amplitude_from_config runs it on every build it makes.
         """
         sig, idl = marginals(self)
         rows = float((sig[0] + sig[-1]) / np.sum(sig))

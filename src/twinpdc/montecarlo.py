@@ -25,6 +25,7 @@ from .schmidt import mode_means
 from .twinstats import (CountRecord, DetectionSpec, klyshko, mean_n_from_cross)
 
 SATURATION_MEAN = 0.9
+MAX_MODE_ARGUMENT = math.asinh(math.sqrt(np.finfo(float).max))  # sinh^2 is finite up to it
 
 
 def equal_mode_spectrum(n_modes: int) -> np.ndarray:
@@ -39,7 +40,8 @@ class SimConfig:
     """Simulation input: source spectrum, gain, detection and gating.
 
     source is the array of Schmidt coefficients lam_k, and the gain B must be
-    finite and nonnegative.  The gate rate is det.gate_rate.
+    finite and nonnegative, with every mode mean sinh^2(B lam_k) finite.  The
+    gate rate is det.gate_rate.
     """
 
     source: np.ndarray
@@ -51,8 +53,12 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 <= self.gain < math.inf:
             raise ConfigError(f"gain must be finite and nonnegative, got {self.gain}")
-        if self.n_gates <= 0:
-            raise ConfigError("n_gates must be positive")
+        strongest = self.gain * float(np.max(self.source, initial=0.0))
+        if not strongest <= MAX_MODE_ARGUMENT:  # also False for NaN
+            raise ConfigError(f"gain {self.gain} overflows the strongest mode mean sinh^2(B lam): "
+                              f"B lam = {strongest:.6g} > {MAX_MODE_ARGUMENT:.2f}")
+        if not 0 < self.n_gates < 2**63:  # numpy's multinomial takes at most 2**63 - 1
+            raise ConfigError(f"n_gates must be in 1 .. 2**63 - 1, got {self.n_gates}")
 
 
 def _outcome_probabilities(means, det: DetectionSpec) -> np.ndarray:
@@ -144,26 +150,26 @@ def efficiency_sweep(cfg: SimConfig, pump_powers):
     """Simulate a pump-power sweep; the gain is sqrt(power).
 
     Each point runs cfg.n_gates gates on a decorrelated stream derived from
-    cfg.seed and the point index.  Every power is checked before the first
-    point is simulated, and the sweep needs two distinct powers: its points
-    are extrapolated to zero power along a line.
+    cfg.seed and the point index.  Every power, and the gain it sets, is
+    checked before the first point is simulated, and the sweep needs two
+    distinct powers: its points are extrapolated to zero power along a line.
     """
     for power in pump_powers:
         if not 0.0 < power < math.inf:
             raise ConfigError(f"pump powers must be positive and finite, got {power}")
     if len(set(pump_powers)) < 2:
         raise ConfigError(f"a sweep needs at least two distinct pump powers, got {pump_powers}")
+    point_cfgs = [replace(cfg, gain=math.sqrt(power),
+                          seed=(cfg.seed + (idx + 1) * 0x9E3779B97F4A7C15) % 2**64)
+                  for idx, power in enumerate(pump_powers)]
     points = []
-    for idx, power in enumerate(pump_powers):
-        gain = math.sqrt(power)
-        seed = (cfg.seed + (idx + 1) * 0x9E3779B97F4A7C15) % 2**64
-        point_cfg = replace(cfg, gain=gain, seed=seed)
+    for power, point_cfg in zip(pump_powers, point_cfgs):
         rec = simulate(point_cfg)
         kly = klyshko(rec)
         n_est = mean_n_from_cross(rec)
         acc = rec.accidentals
         points.append(SweepPoint(
-            power=power, gain=gain, record=rec,
+            power=power, gain=point_cfg.gain, record=rec,
             eta_signal_est=kly.eta_signal, eta_idler_est=kly.eta_idler,
             sigma_signal=kly.sigma_signal, sigma_idler=kly.sigma_idler,
             corrected_signal=(rec.coincidences - acc) / rec.singles_idler,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .dispersion import pm_tilt_deviation
-from .jsa import FrequencyGrid, apply_filter, build_jsa, fwhm, jsi_linewidth, marginals
+from .jsa import apply_filter, fwhm, jsi_linewidth, marginals
 from .montecarlo import (SimConfig, efficiency_sweep, equal_mode_spectrum, simulate,
                          zero_power_efficiencies)
 from .schmidt import (decompose, delay_compensated_overlap, gain_for_mean_n,
@@ -86,18 +86,14 @@ class ReportInputs:
 
     def __init__(self, cfg):
         self.cfg = cfg
+        self.unfiltered_cfg = cfgmod.with_filter_preset(cfg, "none")
         self.device = cfgmod.device_from_config(cfg)
-        self.pump = cfgmod.pump_from_config(cfg)
-        self.approx = cfgmod.approximation_from_config(cfg)
         self.seed = cfgmod.sim_from_config(cfg).seed
         self.gate_rate = cfgmod.gate_rate_from_config(cfg)
 
     @cached_property
     def unfiltered(self):
-        jsa_obj = build_jsa(self.device, self.pump, cfgmod.grid_from_config(self.cfg),
-                            self.approx)
-        jsa_obj.check_span()
-        return jsa_obj
+        return cfgmod.amplitude_from_config(self.unfiltered_cfg)[0]
 
     @cached_property
     def unfiltered_overlap(self) -> float:
@@ -106,11 +102,8 @@ class ReportInputs:
     @cached_property
     def doubled_overlap(self) -> float:
         """|O| with the grid step halved; the 4095^2 grid itself is not kept."""
-        grid = self.unfiltered.grid
-        doubled = build_jsa(self.device, self.pump,
-                            FrequencyGrid.square(2 * grid.n_s - 1, grid.span_s),
-                            self.approx)
-        return abs(spectral_overlap(doubled))
+        doubled = cfgmod.with_grid(self.unfiltered_cfg, 2 * self.unfiltered.grid.n_s - 1)
+        return abs(spectral_overlap(cfgmod.amplitude_from_config(doubled)[0]))
 
     def filtered_overlap(self, preset) -> float:
         jsa_obj, _ = apply_filter(self.unfiltered,
@@ -128,7 +121,7 @@ class ReportInputs:
     @cached_property
     def fit_statistics(self) -> dict:
         """Per target O: (RMS error, fits whose 1-sigma interval covers O)."""
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(self.seed % 2**64)
         sigma = np.full(FIT_MEAN_N.size, FIT_SIGMA_V)
         stats = {}
         for target in FIT_TARGETS:

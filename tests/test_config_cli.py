@@ -100,6 +100,17 @@ def test_filter_presets(bundled_config, device):
     assert bundled_config["filter"] == {"shape": "none", "supergauss_order": "4"}
 
 
+def test_with_grid_copies_and_writes_the_grid_flag_strings(bundled_config):
+    """with_grid writes str(int(points)) and repr(float(span)), the strings --grid
+    writes, into a copy; without a span it keeps the file's."""
+    edited = cfgmod.with_grid(bundled_config, "4095", "16")
+    assert edited["grid"] == {"points": "4095", "span_thz": "16.0", "approximation": "gaussian"}
+    assert cfgmod.with_grid(bundled_config, 4095.0)["grid"]["span_thz"] == "12.0"
+    assert bundled_config["grid"] == {"points": "2048", "span_thz": "12.0",
+                                      "approximation": "gaussian"}
+    assert cfgmod.with_grid({}, 64, 3)["grid"] == {"points": "64", "span_thz": "3.0"}
+
+
 def test_detection_dark_rates_become_probabilities(bundled_config):
     det = cfgmod.detection_from_config(bundled_config)
     gate_rate = 76.2e6 / 64
@@ -214,11 +225,10 @@ def test_cli_filter_transmission_is_taken_on_a_span_that_holds_the_amplitude(
     and twice the span (4095 points, +-24 THz), to 1e-3 relative: 0.0965.  A span that
     cuts the unfiltered marginals near half maximum read 0.1166."""
     from twinpdc import apply_filter, build_jsa
-    from twinpdc.cli import _built_jsa
     from twinpdc.jsa import FrequencyGrid
 
     cfg = cfgmod.with_filter_preset(bundled_config, "g12")
-    _, transmitted = _built_jsa(cfg, device)
+    _, transmitted = cfgmod.amplitude_from_config(cfg)
     grid = cfgmod.grid_from_config(cfg)
     wide = FrequencyGrid.square(2 * grid.n_s - 1, 2 * grid.span_s)
     assert wide.step_signal == pytest.approx(grid.step_signal, rel=1e-12)
@@ -369,6 +379,22 @@ def test_cli_montecarlo_sweep_without_two_powers_exit_code(tmp_path, capsys, pow
     err = capsys.readouterr().err
     assert "config error: a sweep needs at least two distinct pump powers" in err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("sim, extra, named, written", [
+    ("", ["--gates", str(2**63)], f"got {2**63}", "counts.csv"),
+    ("gain = 1e300", [], "gain 1e+300", "counts.csv"),
+    ("", ["--sweep", "1e300,2e300"], "gain 1e+150", "sweep.csv"),
+], ids=["gates-2**63", "gain-1e300", "sweep-1e300"])
+def test_cli_montecarlo_out_of_range_input_exit_code(tmp_path, capsys, sim, extra, named,
+                                                     written):
+    """A gate count numpy's multinomial cannot take, and a gain whose strongest mode mean
+    sinh^2(B lam) overflows, exit 2 and name the value before any point is simulated."""
+    path = write_cfg(tmp_path, MINIMAL + f"\n[sim]\n{sim}\n")
+    assert main(["montecarlo", "--config", path, "--out", str(tmp_path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and named in err and "Traceback" not in err
+    assert not (tmp_path / written).exists()
 
 
 def test_cli_montecarlo_deterministic(tmp_path, capsys):
@@ -566,6 +592,50 @@ def test_cli_report_without_sim_section_uses_default_seed(monkeypatch, tmp_path,
     path = write_cfg(tmp_path, MINIMAL + "\n[grid]\npoints = 256\nspan_thz = 12.0\n")
     assert main(["report", "--config", path]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "1/1 checks passed"
+
+
+def test_cli_report_takes_a_negative_seed(monkeypatch, tmp_path, capsys):
+    """The fit noise is seeded with seed % 2**64, as the Monte Carlo streams are."""
+    from twinpdc import report
+
+    fit_rows = tuple(c for c in report.CRITERIA if "fit" in c.name)
+    monkeypatch.setattr(report, "CRITERIA", fit_rows)
+    path = write_cfg(tmp_path, MINIMAL + "\n[sim]\nseed = -5\n")
+    assert main(["report", "--skip-montecarlo", "--config", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == f"{len(fit_rows)}/{len(fit_rows)} checks passed"
+    assert "Traceback" not in captured.err
+
+
+# a short device with a broad pump, whose amplitude 256 points over +-12 THz resolve
+SMALL = (MINIMAL.replace("length_um = 2000.0", "length_um = 250.0")
+         .replace("vg_i = 90.4", "vg_i = 110.0").replace("fwhm_nm = 0.25", "fwhm_nm = 4.0")
+         + "\n[grid]\npoints = 256\nspan_thz = 12.0\n")
+
+
+def test_report_doubled_overlap_is_the_hand_built_doubled_grid(tmp_path, monkeypatch):
+    """doubled_overlap is, bit for bit, |O| of build_jsa on FrequencyGrid.square(2n - 1,
+    span), and the report builds those 2n - 1 points through amplitude_from_config."""
+    from twinpdc import build_jsa, spectral_overlap
+    from twinpdc.jsa import FrequencyGrid
+    from twinpdc.report import ReportInputs
+
+    cfg = cfgmod.load_config(write_cfg(tmp_path, SMALL))
+    built_points = []
+    real = cfgmod.amplitude_from_config
+
+    def spy(c):
+        built_points.append(cfgmod.grid_from_config(c).n_s)
+        return real(c)
+
+    monkeypatch.setattr(cfgmod, "amplitude_from_config", spy)
+    doubled = ReportInputs(cfg).doubled_overlap
+    assert built_points == [256, 511]
+    grid = cfgmod.grid_from_config(cfg)
+    reference = build_jsa(cfgmod.device_from_config(cfg), cfgmod.pump_from_config(cfg),
+                          FrequencyGrid.square(2 * grid.n_s - 1, grid.span_s),
+                          cfgmod.approximation_from_config(cfg))
+    assert doubled == abs(spectral_overlap(reference))
 
 
 NUMPY_ONLY_SCRIPT = """

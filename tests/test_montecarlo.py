@@ -8,7 +8,8 @@ from twinpdc import (DetectionSpec, SimConfig, efficiency_sweep, equal_mode_spec
                      exact_click_probabilities, extrapolate_zero_power,
                      gain_for_mean_n, klyshko, mean_n_from_cross, simulate)
 from twinpdc.errors import ConfigError
-from twinpdc.montecarlo import zero_power_efficiencies
+from twinpdc.montecarlo import MAX_MODE_ARGUMENT, zero_power_efficiencies
+from twinpdc.schmidt import mode_means
 
 GATE_RATE = 76.2e6 / 64
 
@@ -208,6 +209,32 @@ def test_sweep_checks_every_power_before_simulating(monkeypatch):
     monkeypatch.setattr("twinpdc.montecarlo.simulate", never)
     with pytest.raises(ConfigError, match="pump powers"):
         efficiency_sweep(cfg(equal_mode_spectrum(5), 1.0, det()), [0.1, 0.2, math.nan])
+
+
+def test_simconfig_rejects_a_gate_count_multinomial_cannot_take():
+    lam = equal_mode_spectrum(5)
+    rec = simulate(cfg(lam, 1.0, det(), gates=2**63 - 1))
+    assert rec.gates == 2**63 - 1
+    with pytest.raises(ConfigError, match="n_gates"):
+        cfg(lam, 1.0, det(), gates=2**63)
+
+
+def test_simconfig_rejects_a_gain_whose_strongest_mode_mean_overflows():
+    """sinh^2(B lam) is finite up to B lam = asinh(sqrt(DBL_MAX)), about 355.58."""
+    limit = MAX_MODE_ARGUMENT
+    assert math.isfinite(np.max(mode_means([1.0, 0.5], limit)))
+    cfg(np.array([1.0, 0.5]), limit, det())
+    with pytest.raises(ConfigError, match="gain 355.58"):
+        cfg(np.array([1.0, 0.5]), math.nextafter(limit, math.inf), det())
+
+
+def test_sweep_checks_every_gain_before_simulating(monkeypatch):
+    def never(_):
+        raise AssertionError("simulate called before the last gain was checked")
+
+    monkeypatch.setattr("twinpdc.montecarlo.simulate", never)
+    with pytest.raises(ConfigError, match="gain 1e[+]150"):
+        efficiency_sweep(cfg(equal_mode_spectrum(5), 1.0, det()), [0.1, 0.2, 1e300])
 
 
 def test_sweep_reproducible():
